@@ -17,7 +17,9 @@ vector path must beat the fast path by >=3x when the compiled kernel
 is available, a default-constructed engine must actually dispatch into
 the kernel (the PR-9 vector-auto claim -- a silent eligibility
 regression would otherwise keep every gate green while the matrix
-quietly runs scalar), a trace-cache hit must beat regeneration,
+quietly runs scalar), the default dispatch must replay each of
+``DISPATCH_CELLS`` no slower than the reference loop, a trace-cache
+hit must beat regeneration,
 ``--obs`` telemetry must stay within its budget, and a warm-server
 round-trip must beat a cold CLI invocation by >=5x.  Two artifact
 checks pin the committed payload itself: the embedded baseline must be
@@ -310,3 +312,49 @@ def test_vector_path_beats_fast_by_3x():
         f"{result.meta['speedup_x']:.2f}x faster than the scalar fast path "
         f"({result.meta['fast_wall_s']:.3f}s); the gate requires "
         f">={VECTOR_FLOOR:.0f}x")
+
+
+#: Cells on which the default ``auto`` dispatch must not lose to the
+#: reference loop (ROADMAP item 1: picking a slower substrate is a bug).
+#: The five thrashing S-COMA cells -- where page faults and forced
+#: evictions once made the kernel slower than both scalar loops -- plus
+#: two kernel-friendly AS-COMA cells, all at scale 0.1.
+DISPATCH_CELLS = (("radix", "SCOMA", 0.3), ("radix", "SCOMA", 0.7),
+                  ("radix", "SCOMA", 0.9), ("barnes", "SCOMA", 0.7),
+                  ("em3d", "SCOMA", 0.9), ("fft", "ASCOMA", 0.7),
+                  ("ocean", "ASCOMA", 0.5))
+
+#: Absolute slack on the auto-vs-reference comparison (timer noise on
+#: cells the kernel replays in a few milliseconds).
+DISPATCH_SLACK_S = 0.010
+
+
+@pytest.mark.parametrize("app,arch,pressure", DISPATCH_CELLS)
+def test_auto_dispatch_not_slower_than_reference(monkeypatch, app, arch,
+                                                 pressure):
+    """Same-process replay-time comparison, best of a few runs each:
+    a default-constructed engine must replay the cell no slower than
+    the reference loop, within ``DISPATCH_SLACK_S``."""
+    import time
+
+    from repro.harness.experiment import get_workload, scaled_policy
+    from repro.sim.config import SystemConfig
+    from repro.sim.engine import Engine
+
+    monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
+    monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
+    wl = get_workload(app, 0.1)
+    wl.soa()  # decode once, outside both timings
+
+    def replay_s(**kwargs):
+        cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=pressure)
+        engine = Engine(wl, scaled_policy(arch), config=cfg, **kwargs)
+        t0 = time.perf_counter()
+        engine.run()
+        return time.perf_counter() - t0
+
+    auto = min(replay_s() for _ in range(3))
+    reference = min(replay_s(slow_path=True) for _ in range(2))
+    assert auto <= reference + DISPATCH_SLACK_S, (
+        f"{app}/{arch}@{pressure:.0%}: auto dispatch replays in "
+        f"{auto:.3f}s, slower than the reference loop's {reference:.3f}s")

@@ -34,19 +34,19 @@ The engine carries three replay loops producing **bit-identical**
 every architecture):
 
 * the **fast path** inlines the direct-mapped L1 hit case into the
-  event loop, hoists per-event attribute lookups into locals, replays
-  cached list-form traces, and (optionally) memoizes each node's
-  page -> (mode, home) lookups, invalidated through the event bus on
-  every page-management transition;
+  event loop, hoists per-event attribute lookups into locals and
+  replays cached list-form traces;
 * the **reference path** (``REPRO_SLOW_PATH=1`` or ``slow_path=True``)
   is the straightforward one-call-per-event loop the fast path was
   derived from.  It is the escape hatch for debugging and the parity
   oracle for every future hot-path change;
 * the **vector path** decodes the trace to structure-of-arrays form
   and replays it through the compiled SoA kernel in
-  :mod:`repro.sim.soatrace`, exiting to the scalar machinery for
-  residual events and degrading (loss-free) to the fast path when the
-  engine is ineligible or no kernel can be built.
+  :mod:`repro.sim.soatrace` -- page faults and pure S-COMA's forced
+  evictions included -- exiting to the scalar machinery for residual
+  events (first touches, relocation hints, daemon runs, barriers) and
+  degrading (loss-free) to the fast path when the engine is
+  ineligible or no kernel can be built.
 
 Vector dispatch is three-state (``Engine.vector_mode``): ``auto`` --
 the default -- tries the kernel and silently falls back; ``on``
@@ -69,8 +69,7 @@ import sys
 from ..core.policy import ArchitecturePolicy, RelocationDecision
 from ..kernel.vm import PageMode
 from .config import SystemConfig
-from .events import (EV_BARRIER, EV_END, EV_EVICT, EV_FAULT, EV_MAP_SCOMA,
-                     EV_MIGRATE, EV_RELOCATE)
+from .events import EV_BARRIER, EV_END, EV_FAULT, EV_MIGRATE
 from .machine import Machine
 from .stats import RunResult
 from .trace import EV_COMPUTE, EV_LOCAL, EV_WRITE, WorkloadTraces
@@ -108,12 +107,6 @@ def default_vector_mode() -> str:
         RuntimeWarning, stacklevel=2)
     return "auto"
 
-#: Event kinds after which a memoized page -> (mode, home) entry may be
-#: stale: page faults and S-COMA (un)mappings change the mode, home
-#: migration changes the home (for every node's view of the page).
-_MEMO_INVALIDATORS = frozenset(
-    {EV_FAULT, EV_MAP_SCOMA, EV_EVICT, EV_RELOCATE, EV_MIGRATE})
-
 
 class Engine:
     """One simulation run."""
@@ -124,8 +117,7 @@ class Engine:
                  log_messages: bool = False,
                  sampler=None,
                  slow_path: bool | None = None,
-                 vector_path: bool | None = None,
-                 page_memo: bool | None = None) -> None:
+                 vector_path: bool | None = None) -> None:
         self.workload = workload
         #: Optional TimeSeriesSampler snapshotting policy state at every
         #: barrier release (see repro.sim.timeseries).
@@ -202,18 +194,9 @@ class Engine:
         #: ``auto`` reports False here while still dispatching through
         #: the kernel at run() time.
         self.vector_path = mode == "on"
-        #: Per-node page -> (mode, home) memo, invalidated through the
-        #: event bus (_MEMO_INVALIDATORS).  Opt-in: subscribing the
-        #: invalidation observer makes every page-management publish
-        #: construct an event, which costs more than the memo saves on
-        #: the curated workloads (see docs/performance.md) -- but it
-        #: wins when lookups dominate, e.g. page-table-heavy configs.
-        if page_memo is None:
-            page_memo = False
-        self._memo = None
-        if page_memo:
-            self._memo = [{} for _ in range(self.config.n_nodes)]
-            self._events.subscribe(self._invalidate_memo)
+        #: Kernel exits by reason (``soatrace.EXIT_REASONS``), filled by
+        #: a vector run; runtime-only, never part of the RunResult.
+        self.kernel_exits: dict[str, int] = {}
         # Hot-path constants and stable sub-object aliases, hoisted once
         # so `_shared_ref` never re-walks attribute chains per event.
         # All aliased objects are created by Machine.__init__ and only
@@ -228,20 +211,6 @@ class Engine:
         self._protocol = self.machine.protocol
         self._buses = self.machine.buses
         self._home = self.machine.allocator.home
-
-    # ------------------------------------------------------------------
-    def _invalidate_memo(self, event) -> None:
-        """Event-bus observer dropping stale page-lookup memo entries.
-
-        Mode transitions are per-node but a migration changes every
-        node's view of the page's home, so entries are dropped from all
-        nodes -- over-invalidation is always safe, and these events are
-        orders of magnitude rarer than lookups.
-        """
-        if event.kind in _MEMO_INVALIDATORS and event.page >= 0:
-            page = event.page
-            for memo in self._memo:
-                memo.pop(page, None)
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
@@ -315,7 +284,7 @@ class Engine:
         can reach.
 
         When nothing observes intermediate state (no event-bus
-        observers, no message log, no page memo), the common L1-*miss*
+        observers, no message log), the common L1-*miss*
         cases are inlined too: the HOME-mode local fetch, the S-COMA
         page-cache hit, the RAC hit, the plain 2-hop remote fetch and
         the sharer-free ownership upgrade each replicate
@@ -333,8 +302,7 @@ class Engine:
         # -- inlined-miss machinery (see docstring) ---------------------
         protocol = self._protocol
         directory = protocol.directory
-        inline_miss = (self._l1_direct and self._memo is None
-                       and directory.log is None
+        inline_miss = (self._l1_direct and directory.log is None
                        and not self._events.observers)
         dir_copyset = directory.copyset
         dir_owner = directory.owner
@@ -953,12 +921,13 @@ class Engine:
 
         Bit-identical to both scalar loops.  The decoded trace and the
         machine's per-event mutable state move into dense numpy
-        arrays, and a small compiled kernel replays the scheduler and
-        the five fast-path reference cases over them, handing only the
-        residual events (page faults, relocation hints, daemon runs,
-        barrier releases) back to the scalar machinery -- which then
-        operates on the same arrays through dict/set views, so the two
-        substrates never diverge.
+        arrays, and a small compiled kernel replays the scheduler, the
+        reference cases and the page faults and forced evictions of
+        the modelled first-touch rules over them, handing only the
+        residual events (first machine-wide touches, relocation hints,
+        daemon runs, barrier releases) back to the scalar machinery --
+        which then operates on the same arrays through dict/set views,
+        so the two substrates never diverge.
 
         Degrades silently to :meth:`_run_fast` when the kernel is
         unavailable (no C compiler / cffi) or the run shape is outside
@@ -1113,26 +1082,10 @@ class Engine:
         nid = node.id
 
         kernel = 0
-        memo = self._memo
-        if memo is not None:
-            node_memo = memo[nid]
-            cached = node_memo.get(page)
-            if cached is not None:
-                mode, home = cached
-            else:
-                mode = node.page_table.mode.get(page, 0)
-                if mode == 0:  # UNMAPPED: first touch on this node
-                    mode, kernel = self._page_fault(node, page, now)
-                # The fault (ours or an earlier node's) assigned a home.
-                home = self._home[page]
-                # Install *after* the fault event so the invalidation
-                # observer cannot wipe a just-created entry.
-                node_memo[page] = (mode, home)
-        else:
-            mode = node.page_table.mode.get(page, 0)
-            if mode == 0:  # UNMAPPED: first touch on this node
-                mode, kernel = self._page_fault(node, page, now)
-            home = self._home[page]
+        mode = node.page_table.mode.get(page, 0)
+        if mode == 0:  # UNMAPPED: first touch on this node
+            mode, kernel = self._page_fault(node, page, now)
+        home = self._home[page]
         now += kernel
 
         lat = self._buses[nid].transact(now)

@@ -1,21 +1,45 @@
-"""Structure-of-arrays replay substrate: the vectorized third loop.
+"""Structure-of-arrays replay substrate: the compiled replay kernel.
 
-The engine's third replay path (``vector_path=True`` /
-``REPRO_VECTOR_PATH=1``) re-expresses the PR4 fast loop over a dense
-structure-of-arrays decode of the machine state: every dict/set the
-scalar loops mutate per event (directory copyset/owner, page-table
-modes and S-COMA valid masks, refetch counters, TLB reference bits,
-L1 tags, RAC slots, ownership sets) becomes a flat numpy array, and
-the per-event scheduler + classification + protocol arithmetic runs
-as a small compiled kernel over those arrays.  The kernel is a direct
-transliteration of ``Engine._shared_ref`` and the fast loop's inlined
-cases; like the fast path it decides *before mutating anything*
-whether an event is one of the shapes it does not model -- a page
-fault or an imminent relocation hint -- and hands exactly those
-events back to the scalar ``Engine._shared_ref`` machinery, so the
-residual path sees identical state and produces identical arithmetic.
+The engine's vector path (``vector_path=True`` / ``REPRO_VECTOR_PATH=1``,
+and the default ``auto`` dispatch) re-expresses the scalar replay over a
+dense structure-of-arrays decode of the machine state: every dict/set
+the scalar loops mutate per event (directory copyset/owner, page-table
+modes and S-COMA valid masks, refetch counters, TLB reference bits, L1
+tags, RAC slots, ownership sets, free-frame counts, the second-chance
+clock) becomes a flat numpy array, and the per-event scheduler,
+classification, protocol arithmetic and page management run as a small
+C kernel (``soakernel.c``, shipped next to this module) over those
+arrays.  The kernel is a direct transliteration of
+``Engine._shared_ref``, ``Engine._page_fault`` and the node's eviction
+path; it decides *before mutating anything* whether an event is one of
+the shapes it does not model and hands exactly those back to the
+scalar machinery, so the residual path sees identical state and
+produces identical arithmetic.
 
-Bit-identical output to both scalar loops is the contract: same
+What stays in the kernel and what exits to Python:
+
+============================  ==========================================
+In the kernel                 hits, misses, upgrades, invalidations and
+                              demotions; first-touch page faults on a
+                              page that already has a home, mapped by
+                              the policy's first-touch rule (always
+                              CC-NUMA, S-COMA-if-free, mandatory
+                              S-COMA); pure S-COMA's forced eviction
+                              (second-chance victim, flush, directory
+                              drop, unmap, TLB shootdown, frame release)
+Exit ``home-assign``          the first machine-wide touch of a page
+                              (home placement stays with the allocators;
+                              at most once per page)
+Exit ``residual-hint``        a miss that raises a relocation hint
+Exit ``daemon``               a due pageout daemon, at slice start or at
+                              fault time
+Exit ``barrier``/``ring``     barrier release; a full event ring
+============================  ==========================================
+
+Per-reason exit counts are recorded on ``engine.kernel_exits`` (runtime
+only: never in ``RunResult`` or the store).
+
+Bit-identical output to the scalar loops is the contract: same
 ``RunResult.to_dict()``, same goldens, same store hashes (see
 ``tests/test_perf_parity.py``'s three-way differential matrix).
 
@@ -27,28 +51,28 @@ Implementation notes
   and loaded through :mod:`cffi` in ABI mode -- no ``Python.h``, no
   build-time dependency.  When cffi or a compiler is missing, or a
   run shape is outside the kernel's model (associative L1, a
-  time-series sampler, a directory message log, unfiltered event-bus
-  observers other than the engine's page-memo invalidator),
-  :func:`run_vector` returns ``None`` and the engine degrades
-  loss-free to ``_run_fast`` -- the same graceful-degradation contract
-  the fast path's inlined cases already follow (a single
+  time-series sampler, a directory message log, any unfiltered
+  event-bus observer, a policy whose fault hooks the kernel does not
+  model), :func:`run_vector` returns ``None`` and the
+  engine degrades loss-free to ``_run_fast`` (a single
   ``RuntimeWarning`` flags environment problems such as a missing
   compiler or a corrupt kernel cache; see :func:`_load_kernel`).
   Copyset and S-COMA valid bitmaps are multi-word, so there is no
-  node-count or chunks-per-page ceiling; the page memo is carried
-  (the kernel never mutates page modes/homes); kind-filtered EventBus
+  node-count or chunks-per-page ceiling; kind-filtered EventBus
   subscribers are served by a bounded in-kernel event ring whose
   entries are replayed post-slice with scalar-identical clocks and
-  order; and residual events (page faults, relocation hints) exit in
-  batched *runs* that Python drains before re-entering the kernel.
+  order; and residual events exit in batched *runs* that Python drains
+  before re-entering the kernel.
 * While the vectorized run is live, the machine's dict/set/list state
   is *replaced* by array-backed views (single source of truth): the
-  scalar residual path and all post-run consumers (invariant audits,
-  ``utilisation_report``) read and write the same arrays the kernel
-  does.  The views stay installed after the run; they implement the
-  exact observable dict/set semantics of what they replace and return
-  Python ints/bools (never numpy scalars, which would poison the
-  JSON-serialised ``RunResult``).
+  scalar residual path, the pageout daemon and all post-run consumers
+  (invariant audits, ``utilisation_report``) read and write the same
+  arrays the kernel does.  The views stay installed after the run,
+  except the second-chance clock, which is exported back into a plain
+  deque.  They implement the exact observable dict/set semantics of
+  what they replace and return Python ints/bools (never numpy scalars,
+  which would poison the JSON-serialised ``RunResult``).  Free-frame
+  counts are the one per-exit copy, O(nodes) each way.
 * Path selection is a runtime mode, like ``REPRO_SLOW_PATH``: it must
   never enter ``RunSpec.spec_hash`` (see ``repro.runtime.spec``).
 """
@@ -57,31 +81,59 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import warnings
+from collections import deque
 
 import numpy as np
 
+from ..core.ascoma import ASCOMAPolicy
+from ..core.ccnuma import CCNUMAPolicy
+from ..core.migration import MigratingCCNUMAPolicy
+from ..core.policy import ArchitecturePolicy
+from ..core.rnuma import RNUMAPolicy
+from ..core.scoma import SCOMAPolicy
+from ..core.vcnuma import VCNUMAPolicy
 from ..kernel.vm import PageMode
 from .events import EV_DEMOTE, EV_INVALIDATE
 from .trace import EV_WRITE
 
-__all__ = ["run_vector", "vector_available"]
+__all__ = ["run_vector", "vector_available", "EXIT_REASONS"]
+
+#: The kernel's C source, shipped as package data next to this module.
+KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "soakernel.c")
 
 # ---------------------------------------------------------------------------
-# Kernel exit codes (keep in sync with the C source).
+# Kernel exit codes (keep in sync with soakernel.c).
 _DONE = 0        # every node finished; deltas are ready to merge
 _RESIDUAL = 1    # run of events at ctl needs scalar Engine._shared_ref
-_DAEMON = 2      # pageout daemon due on ctl[BEST] at ctl[NOW]
+_DAEMON = 2      # pageout daemon due on ctl[BEST] at ctl[DAEMON_AT]
 _BARRIER = 3     # every unfinished node is waiting; release in Python
 _DEADLOCK = 4    # unfinished nodes exist but none is runnable
 _RINGFULL = 5    # event ring lacks headroom; flush and re-enter
+_BAD_PARAMS = 6  # entry precondition failed: shape/params are corrupt
+_EMPTY_CLOCK = 7  # forced eviction found no S-COMA page to evict
 
-# ctl[] slots (keep in sync with the C source).
-_IN_SLICE, _BEST, _LIMIT, _NOW, _RLEN, _RINGN = range(6)
+# ctl[] slots (keep in sync with soakernel.c).
+(_IN_SLICE, _BEST, _LIMIT, _NOW, _RLEN, _RINGN, _REASON, _DAEMON_AT,
+ _SKIP_DAEMON) = range(9)
+
+#: engine.kernel_exits keys, in ctl[REASON] order for RC_RESIDUAL.
+EXIT_REASONS = ("residual-hint", "home-assign", "daemon", "barrier", "ring")
+
+# First-touch rules (keep in sync with soakernel.c).
+_FT_CCNUMA, _FT_SCOMA_IF_FREE, _FT_SCOMA = range(3)
+
+#: ``initial_mode`` implementations that always map a remote page
+#: CC-NUMA.
+_CCNUMA_INITIAL_MODES = frozenset({
+    CCNUMAPolicy.initial_mode, MigratingCCNUMAPolicy.initial_mode,
+    RNUMAPolicy.initial_mode, VCNUMAPolicy.initial_mode})
 
 # params[] slots (keep in sync with the C enum).
 (_P_N, _P_QUANTUM, _P_NO_LIMIT, _P_LINE_SHIFT, _P_CHUNK_SHIFT, _P_CPP_MASK,
@@ -90,8 +142,10 @@ _IN_SLICE, _BEST, _LIMIT, _NOW, _RLEN, _RINGN = range(6)
  _P_MEM_SERVICE, _P_MEM_OCC, _P_MEM_MAXQ, _P_BUS_OCC, _P_BUS_FIXED,
  _P_BUS_MAXQ, _P_NET_OCC, _P_NET_MAXQ, _P_LPC, _P_N_PAGES, _P_N_SETS,
  _P_N_BANKS, _P_RAC_ENTRIES, _P_PC_SHIFT, _P_N_CHUNKS, _P_CS_WORDS,
- _P_SV_WORDS, _P_RING_INV, _P_RING_DEM, _P_RING_CAP) = range(36)
-_N_PARAMS = 36
+ _P_SV_WORDS, _P_RING_INV, _P_RING_DEM, _P_RING_CAP, _P_FT_RULE,
+ _P_PAGE_FAULT, _P_PAGE_REMAP, _P_FLUSH_PER_LINE, _P_FRAMES,
+ _P_CLK_CAP) = range(42)
+_N_PARAMS = 42
 
 #: Per-node stats delta row: (slot, NodeStats attribute).  Commutative
 #: counters only -- nothing reads them mid-run, so the kernel
@@ -100,651 +154,21 @@ _STAT_ATTRS = (
     "U_SH_MEM", "U_INSTR", "U_LC_MEM", "HOME", "SCOMA", "RAC", "COLD",
     "CONF_CAPC", "HOME_LAT", "SCOMA_LAT", "RAC_LAT", "COLD_LAT",
     "CONF_CAPC_LAT", "upgrades", "induced_cold", "essential_cold",
-    "l1_hits", "l1_misses")
+    "l1_hits", "l1_misses", "K_BASE", "K_OVERHD", "page_faults",
+    "evictions", "forced_evictions", "lines_flushed")
 _N_STATS = len(_STAT_ATTRS)
 
 # Per-node auxiliary delta row (see _merge_deltas).
 (_A_WB, _A_INVAL, _A_RAC_HITS, _A_RAC_MISSES, _A_RAC_FILLS, _A_MEM_ACC,
- _A_MEM_CONT, _A_MEM_Q, _A_BUS_TX, _A_BUS_CONT, _A_BUS_Q) = range(11)
-_N_AUX = 11
+ _A_MEM_CONT, _A_MEM_Q, _A_BUS_TX, _A_BUS_CONT, _A_BUS_Q, _A_PT_FAULTS,
+ _A_L1_FLUSHED, _A_SHOOTDOWNS, _A_POOL_ALLOC, _A_POOL_REL,
+ _A_POOL_FAILED) = range(17)
+_N_AUX = 17
 
 # Global delta row (see _merge_deltas).
 (_G_NET_MSGS, _G_NET_CONT, _G_NET_Q, _G_DIR_REFETCH, _G_DIR_FWD,
  _G_DIR_INV, _G_DIR_EXCL, _G_REMOTE, _G_THREE_HOP, _G_STALLS) = range(10)
 _N_GLOB = 10
-
-_STRUCT = """
-typedef struct {
-    const int64_t *P;
-    const uint8_t *kinds;
-    const int64_t *args;
-    const int64_t *tr_off;
-    const int64_t *tr_len;
-    int64_t *pos;
-    int64_t *clock;
-    int64_t *arrival;
-    int64_t *barrier_id;
-    uint8_t *finished;
-    uint8_t *waiting;
-    int64_t *ctl;
-    int64_t *l1_tags;
-    uint8_t *l1_dirty;
-    int64_t *rac;
-    uint8_t *owned;
-    uint8_t *ever;
-    uint64_t *copyset;
-    int64_t *owner;
-    int64_t *refetch;
-    int64_t *modes;
-    uint64_t *scoma_valid;
-    int64_t *pc_hits;
-    uint8_t *ref_bits;
-    const int64_t *home;
-    const int64_t *net_base;
-    int64_t *net_port;
-    int64_t *mem_busy;
-    int64_t *bus_busy;
-    const uint8_t *below_min;
-    const int64_t *next_run;
-    const int64_t *thr;
-    int64_t *st;
-    int64_t *aux;
-    int64_t *glob;
-    uint64_t *inv_scratch;
-    int64_t *ring;
-} SoaState;
-"""
-
-_CDEF = _STRUCT + """
-int64_t soa_run(SoaState *s);
-"""
-
-# The kernel proper: a line-for-line transliteration of the scalar
-# machinery it replaces.  Source comments reference the Python it
-# mirrors; every formula (queue clamps, leg timestamps, counter sites,
-# mutation order) must match repro.sim.engine / repro.coherence /
-# repro.interconnect / repro.mem exactly -- the three-way parity matrix
-# is the enforcement.
-_C_SOURCE = "#include <stdint.h>\n" + _STRUCT + r"""
-#define EV_WRITE 1
-#define EV_COMPUTE 2
-#define EV_LOCAL 3
-
-enum { P_N, P_QUANTUM, P_NO_LIMIT, P_LINE_SHIFT, P_CHUNK_SHIFT, P_CPP_MASK,
-       P_SET_MASK, P_RAC_MASK, P_RAC_VICTIM, P_HIT_CYCLES, P_RAC_CYCLES,
-       P_DSM2, P_GRANT_EX, P_STALL_INV, P_SKIP_NODE, P_BANK_MASK,
-       P_MEM_SERVICE, P_MEM_OCC, P_MEM_MAXQ, P_BUS_OCC, P_BUS_FIXED,
-       P_BUS_MAXQ, P_NET_OCC, P_NET_MAXQ, P_LPC, P_N_PAGES, P_N_SETS,
-       P_N_BANKS, P_RAC_ENTRIES, P_PC_SHIFT, P_N_CHUNKS, P_CS_WORDS,
-       P_SV_WORDS, P_RING_INV, P_RING_DEM, P_RING_CAP };
-
-enum { S_USH, S_UINSTR, S_ULC, S_HOME, S_SCOMA, S_RAC, S_COLD, S_CONF,
-       S_HOME_LAT, S_SCOMA_LAT, S_RAC_LAT, S_COLD_LAT, S_CONF_LAT,
-       S_UPGRADES, S_INDUCED, S_ESSENTIAL, S_L1_HITS, S_L1_MISSES, N_STATS };
-
-enum { A_WB, A_INVAL, A_RAC_HITS, A_RAC_MISSES, A_RAC_FILLS, A_MEM_ACC,
-       A_MEM_CONT, A_MEM_Q, A_BUS_TX, A_BUS_CONT, A_BUS_Q, N_AUX };
-
-enum { G_NET_MSGS, G_NET_CONT, G_NET_Q, G_DIR_REFETCH, G_DIR_FWD,
-       G_DIR_INV, G_DIR_EXCL, G_REMOTE, G_THREE_HOP, G_STALLS, N_GLOB };
-
-enum { C_IN_SLICE, C_BEST, C_LIMIT, C_NOW, C_RLEN, C_RING };
-
-enum { RC_DONE, RC_RESIDUAL, RC_DAEMON, RC_BARRIER, RC_DEADLOCK, RC_RING };
-
-/* Bounded event ring: rare coherence transitions the kernel performs
- * itself (chunk invalidations, owner demotions) are recorded here when
- * a kind-filtered EventBus subscriber watches them, and replayed by the
- * Python driver at the next kernel exit -- identical events, identical
- * clocks, identical order to what the scalar loops publish. */
-static void ring_push(SoaState *s, int64_t kind, int64_t node,
-                      int64_t chunk, int64_t clk) {
-    int64_t *e = &s->ring[s->ctl[C_RING] * 4];
-    e[0] = kind; e[1] = node; e[2] = chunk; e[3] = clk;
-    s->ctl[C_RING]++;
-}
-
-/* Network.one_way: same-node messages are free and uncounted. */
-static int64_t one_way(SoaState *s, int64_t src, int64_t dst, int64_t now) {
-    if (src == dst) return 0;
-    int64_t base = s->net_base[src * s->P[P_N] + dst];
-    int64_t arrival = now + base;
-    int64_t busy = s->net_port[dst];
-    int64_t queue = busy > arrival ? busy - arrival : 0;
-    if (queue > s->P[P_NET_MAXQ]) queue = s->P[P_NET_MAXQ];
-    s->net_port[dst] = arrival + queue + s->P[P_NET_OCC];
-    s->glob[G_NET_MSGS]++;
-    if (queue) { s->glob[G_NET_CONT]++; s->glob[G_NET_Q] += queue; }
-    return base + queue;
-}
-
-static int64_t round_trip(SoaState *s, int64_t src, int64_t dst, int64_t now) {
-    int64_t out = one_way(s, src, dst, now);
-    return out + one_way(s, dst, src, now + out);
-}
-
-/* BankedMemory.access */
-static int64_t mem_access(SoaState *s, int64_t node, int64_t chunk,
-                          int64_t now) {
-    int64_t *busy = &s->mem_busy[node * s->P[P_N_BANKS]
-                                 + (chunk & s->P[P_BANK_MASK])];
-    int64_t queue = *busy > now ? *busy - now : 0;
-    if (queue > s->P[P_MEM_MAXQ]) queue = s->P[P_MEM_MAXQ];
-    *busy = now + queue + s->P[P_MEM_OCC];
-    int64_t *aux = &s->aux[node * N_AUX];
-    aux[A_MEM_ACC]++;
-    if (queue) { aux[A_MEM_CONT]++; aux[A_MEM_Q] += queue; }
-    return s->P[P_MEM_SERVICE] + queue;
-}
-
-/* SplitTransactionBus.transact */
-static int64_t bus_transact(SoaState *s, int64_t node, int64_t now) {
-    int64_t busy = s->bus_busy[node];
-    int64_t queue = busy > now ? busy - now : 0;
-    if (queue > s->P[P_BUS_MAXQ]) queue = s->P[P_BUS_MAXQ];
-    s->bus_busy[node] = now + queue + s->P[P_BUS_OCC];
-    int64_t *aux = &s->aux[node * N_AUX];
-    aux[A_BUS_TX]++;
-    if (queue) { aux[A_BUS_CONT]++; aux[A_BUS_Q] += queue; }
-    return s->P[P_BUS_FIXED] + queue;
-}
-
-static void rac_drop(SoaState *s, int64_t node, int64_t key) {
-    int64_t *slot = &s->rac[node * s->P[P_RAC_ENTRIES]
-                            + (key & s->P[P_RAC_MASK])];
-    if (*slot == key) *slot = -1;
-}
-
-static void rac_fill(SoaState *s, int64_t node, int64_t key) {
-    s->rac[node * s->P[P_RAC_ENTRIES] + (key & s->P[P_RAC_MASK])] = key;
-    s->aux[node * N_AUX + A_RAC_FILLS]++;
-}
-
-/* Machine._invalidate_chunk + Node.invalidate_chunk.  The publish is
- * deferred through the event ring when a kind-filtered subscriber
- * watches EV_INVALIDATE; unfiltered observers (beyond the engine's own
- * page-memo invalidator, which ignores this kind) disqualify the run
- * before the kernel starts. */
-static void invalidate_chunk_at(SoaState *s, int64_t node, int64_t chunk,
-                                int64_t now) {
-    if (node == s->P[P_SKIP_NODE]) return;
-    int64_t lpc = s->P[P_LPC];
-    int64_t first = chunk * lpc;
-    int64_t *tags = &s->l1_tags[node * s->P[P_N_SETS]];
-    uint8_t *dirty = &s->l1_dirty[node * s->P[P_N_SETS]];
-    int64_t *aux = &s->aux[node * N_AUX];
-    for (int64_t line = first; line < first + lpc; line++) {
-        int64_t slot = line & s->P[P_SET_MASK];
-        if (tags[slot] == line) {
-            tags[slot] = -1;
-            dirty[slot] = 0;
-            aux[A_INVAL]++;
-        }
-    }
-    if (s->P[P_RAC_VICTIM]) {
-        for (int64_t line = first; line < first + lpc; line++)
-            rac_drop(s, node, line);
-    } else {
-        rac_drop(s, node, chunk);
-    }
-    s->owned[node * s->P[P_N_CHUNKS] + chunk] = 0;
-    int64_t pidx = node * s->P[P_N_PAGES] + (chunk >> s->P[P_PC_SHIFT]);
-    if (s->modes[pidx] == 2) {   /* PageMode.SCOMA */
-        int64_t cip = chunk & s->P[P_CPP_MASK];
-        s->scoma_valid[pidx * s->P[P_SV_WORDS] + (cip >> 6)]
-            &= ~((uint64_t)1 << (cip & 63));
-    }
-    if (s->P[P_RING_INV]) ring_push(s, 0, node, chunk, now);
-}
-
-/* CoherenceProtocol._invalidate_all: invalidate each sharer in
- * ascending id order, all round trips issued at the same `now` (port
- * state still accumulates); one write stall per call.  The sharer set
- * is the multi-word mask fetch_raw left in inv_scratch. */
-static int64_t invalidate_all(SoaState *s, int64_t chunk,
-                              int64_t origin, int64_t now) {
-    int64_t worst = 0;
-    for (int64_t w = 0; w < s->P[P_CS_WORDS]; w++) {
-        uint64_t m = s->inv_scratch[w];
-        while (m) {
-            int64_t sh = (w << 6) + __builtin_ctzll(m);
-            m &= m - 1;
-            invalidate_chunk_at(s, sh, chunk, now);
-            int64_t rt = round_trip(s, origin, sh, now);
-            if (rt > worst) worst = rt;
-        }
-    }
-    s->glob[G_STALLS]++;
-    return s->P[P_STALL_INV] ? worst : 0;
-}
-
-typedef struct {
-    int64_t refetch, forwarded, has_inv, prev_owner, exclusive;
-} DirOut;
-
-/* Directory.fetch_raw.  The relocation-hint branch is unreachable
- * here: shared_ref() pre-checks the hint condition against the
- * pre-mutation copyset/refetch state and exits to Python before
- * calling this, so count+1 < threshold always holds. */
-static DirOut fetch_raw(SoaState *s, int64_t node, int64_t chunk,
-                        int64_t page, int64_t is_write, int64_t threshold,
-                        int64_t count_refetch) {
-    DirOut o = {0, 0, 0, -1, 0};
-    int64_t W = s->P[P_CS_WORDS];
-    uint64_t *cs = &s->copyset[chunk * W];
-    int64_t bw = node >> 6;
-    uint64_t bit = (uint64_t)1 << (node & 63);
-    o.refetch = (cs[bw] & bit) != 0;
-    int64_t owner = s->owner[chunk];
-    if (owner != -1 && owner != node) {
-        o.forwarded = 1;
-        s->glob[G_DIR_FWD]++;
-        s->owner[chunk] = -1;
-    }
-    if (is_write) {
-        int64_t inv = 0;
-        for (int64_t w = 0; w < W; w++) {
-            uint64_t others = cs[w];
-            if (w == bw) others &= ~bit;
-            s->inv_scratch[w] = others;
-            inv += __builtin_popcountll(others);
-            cs[w] = 0;
-        }
-        cs[bw] = bit;
-        s->owner[chunk] = node;
-        if (inv) {
-            o.has_inv = 1;
-            s->glob[G_DIR_INV] += inv;
-        }
-    } else {
-        uint64_t any = 0;
-        for (int64_t w = 0; w < W; w++) any |= cs[w];
-        cs[bw] |= bit;
-        if (owner == node) {
-            /* still the owner */
-        } else if (s->P[P_GRANT_EX] && any == 0) {
-            s->owner[chunk] = node;
-            o.exclusive = 1;
-        }
-    }
-    if (o.refetch && count_refetch) {
-        s->glob[G_DIR_REFETCH]++;
-        if (threshold > 0)
-            s->refetch[page * s->P[P_N] + node]++;
-    }
-    if (o.exclusive) s->glob[G_DIR_EXCL]++;
-    o.prev_owner = (owner != node) ? owner : -1;
-    return o;
-}
-
-/* CoherenceProtocol.remote_fetch_raw after the directory step. */
-static int64_t remote_after_dir(SoaState *s, DirOut *o, int64_t node,
-                                int64_t chunk, int64_t home,
-                                int64_t is_write, int64_t now) {
-    int64_t lat = one_way(s, node, home, now);
-    lat += mem_access(s, home, chunk, now + lat);
-    if (o->forwarded) {
-        s->glob[G_THREE_HOP]++;
-        lat += one_way(s, home, node, now + lat);
-        if (!is_write && o->prev_owner >= 0) {
-            s->owned[o->prev_owner * s->P[P_N_CHUNKS] + chunk] = 0;
-            if (s->P[P_RING_DEM])
-                ring_push(s, 1, o->prev_owner, chunk, now + lat);
-        }
-    }
-    lat += one_way(s, home, node, now + lat);
-    if (o->has_inv)
-        lat += invalidate_all(s, chunk, home, now + lat);
-    s->glob[G_REMOTE]++;
-    return lat;
-}
-
-/* CoherenceProtocol.local_fetch_raw after the directory step. */
-static int64_t local_after_dir(SoaState *s, DirOut *o, int64_t node,
-                               int64_t chunk, int64_t is_write,
-                               int64_t now) {
-    int64_t lat = mem_access(s, node, chunk, now);
-    if (o->forwarded) {
-        s->glob[G_THREE_HOP]++;
-        int64_t owner = o->prev_owner >= 0 ? o->prev_owner
-                                           : (node + 1) % s->P[P_N];
-        lat += round_trip(s, node, owner, now + lat);
-        if (!is_write && o->prev_owner >= 0) {
-            s->owned[o->prev_owner * s->P[P_N_CHUNKS] + chunk] = 0;
-            if (s->P[P_RING_DEM])
-                ring_push(s, 1, o->prev_owner, chunk, now + lat);
-        }
-    }
-    if (o->has_inv)
-        lat += invalidate_all(s, chunk, node, now + lat);
-    return lat;
-}
-
-/* CoherenceProtocol.upgrade */
-static int64_t upgrade(SoaState *s, int64_t node, int64_t chunk,
-                       int64_t page, int64_t home, int64_t now) {
-    DirOut o = fetch_raw(s, node, chunk, page, 1, 0, 0);
-    int64_t lat = (home == node) ? 0 : round_trip(s, node, home, now);
-    if (o.has_inv)
-        lat += invalidate_all(s, chunk, home, now + lat);
-    return lat;
-}
-
-/* DirectMappedCache.fill */
-static int64_t l1_fill(SoaState *s, int64_t node, int64_t line,
-                       int64_t make_dirty) {
-    int64_t slot = line & s->P[P_SET_MASK];
-    int64_t *tags = &s->l1_tags[node * s->P[P_N_SETS]];
-    uint8_t *dirty = &s->l1_dirty[node * s->P[P_N_SETS]];
-    int64_t victim = tags[slot];
-    if (victim == line) {
-        if (make_dirty) dirty[slot] = 1;
-        return -1;
-    }
-    if (victim != -1 && dirty[slot]) s->aux[node * N_AUX + A_WB]++;
-    tags[slot] = line;
-    dirty[slot] = (uint8_t)make_dirty;
-    return victim;
-}
-
-/* Engine._l1_fill / plain l1.fill, chosen per rac_fill_policy. */
-static void l1_fill_tail(SoaState *s, int64_t node, int64_t line,
-                         int64_t is_write) {
-    if (s->P[P_RAC_VICTIM]) {
-        int64_t victim = l1_fill(s, node, line, is_write);
-        if (victim != -1
-            && s->modes[node * s->P[P_N_PAGES]
-                        + (victim >> s->P[P_LINE_SHIFT])] == 3)
-            rac_fill(s, node, victim);   /* PageMode.CCNUMA */
-    } else {
-        l1_fill(s, node, line, is_write);
-    }
-}
-
-/* Engine._classify_remote */
-static void classify(SoaState *s, int64_t node, int64_t chunk,
-                     int64_t refetch, int64_t lat) {
-    int64_t *st = &s->st[node * N_STATS];
-    uint8_t *ever = &s->ever[node * s->P[P_N_CHUNKS] + chunk];
-    if (refetch) {
-        st[S_CONF]++;
-        st[S_CONF_LAT] += lat;
-        *ever = 1;
-    } else {
-        st[S_COLD]++;
-        st[S_COLD_LAT] += lat;
-        if (*ever) st[S_INDUCED]++;
-        else { st[S_ESSENTIAL]++; *ever = 1; }
-    }
-}
-
-/* Engine._shared_ref.  Returns elapsed cycles, or -1 when the event
- * needs the scalar path (page fault / relocation hint); -1 is
- * returned strictly before any mutation, so Python can redo the
- * whole event against identical state. */
-static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
-                          int64_t is_write, int64_t now) {
-    int64_t *st = &s->st[nid * N_STATS];
-    int64_t slot = line & s->P[P_SET_MASK];
-    int64_t *tags = &s->l1_tags[nid * s->P[P_N_SETS]];
-    int64_t chunk = line >> s->P[P_CHUNK_SHIFT];
-    if (tags[slot] == line) {                       /* L1 hit */
-        st[S_L1_HITS]++;
-        uint8_t *dirty = &s->l1_dirty[nid * s->P[P_N_SETS]];
-        if (is_write) {
-            uint8_t *ownedp = &s->owned[nid * s->P[P_N_CHUNKS] + chunk];
-            if (!*ownedp) {
-                int64_t page = line >> s->P[P_LINE_SHIFT];
-                int64_t lat = upgrade(s, nid, chunk, page,
-                                      s->home[page], now);
-                *ownedp = 1;
-                st[S_UPGRADES]++;
-                st[S_USH] += lat;
-                dirty[slot] = 1;
-                return s->P[P_HIT_CYCLES] + lat;
-            }
-            dirty[slot] = 1;
-        }
-        return s->P[P_HIT_CYCLES];
-    }
-    /* L1 miss: pure pre-checks before any mutation. */
-    int64_t page = line >> s->P[P_LINE_SHIFT];
-    int64_t pidx = nid * s->P[P_N_PAGES] + page;
-    int64_t mode = s->modes[pidx];
-    if (mode == 0) return -1;                       /* page fault */
-    if (mode == 3) {                                /* CCNUMA */
-        int64_t key = s->P[P_RAC_VICTIM] ? line : chunk;
-        if (s->rac[nid * s->P[P_RAC_ENTRIES]
-                   + (key & s->P[P_RAC_MASK])] != key) {
-            int64_t thr = s->thr[nid];
-            if (thr > 0
-                && ((s->copyset[chunk * s->P[P_CS_WORDS] + (nid >> 6)]
-                     >> (nid & 63)) & 1)
-                && s->refetch[page * s->P[P_N] + nid] + 1 >= thr)
-                return -1;                          /* relocation hint */
-        }
-    }
-    st[S_L1_MISSES]++;
-    s->ref_bits[pidx] = 1;
-    int64_t lat = bus_transact(s, nid, now);
-    uint8_t *ownedp = &s->owned[nid * s->P[P_N_CHUNKS] + chunk];
-    int64_t home = s->home[page];
-    if (mode == 1) {                                /* HOME */
-        DirOut o = fetch_raw(s, nid, chunk, page, is_write, 0, 0);
-        lat += local_after_dir(s, &o, nid, chunk, is_write, now + lat);
-        st[S_HOME]++;
-        st[S_HOME_LAT] += lat;
-        if (is_write || o.exclusive) *ownedp = 1;
-    } else if (mode == 2) {                         /* SCOMA */
-        int64_t cip = chunk & s->P[P_CPP_MASK];
-        uint64_t *sv = &s->scoma_valid[pidx * s->P[P_SV_WORDS]];
-        if ((sv[cip >> 6] >> (cip & 63)) & 1) {
-            lat += mem_access(s, nid, chunk, now + lat);
-            st[S_SCOMA]++;
-            s->pc_hits[pidx]++;
-            st[S_SCOMA_LAT] += lat;
-            if (is_write && !*ownedp) {
-                lat += upgrade(s, nid, chunk, page, home, now + lat);
-                *ownedp = 1;
-                st[S_UPGRADES]++;
-            }
-        } else {
-            DirOut o = fetch_raw(s, nid, chunk, page, is_write, 0, 0);
-            int64_t fl = remote_after_dir(s, &o, nid, chunk, home,
-                                          is_write, now + lat);
-            lat += s->P[P_DSM2] + fl;
-            sv[cip >> 6] |= (uint64_t)1 << (cip & 63);
-            classify(s, nid, chunk, o.refetch, lat);
-            if (is_write || o.exclusive) *ownedp = 1;
-        }
-    } else {                                        /* CCNUMA */
-        int64_t key = s->P[P_RAC_VICTIM] ? line : chunk;
-        int64_t *aux = &s->aux[nid * N_AUX];
-        if (s->rac[nid * s->P[P_RAC_ENTRIES]
-                   + (key & s->P[P_RAC_MASK])] == key) {
-            aux[A_RAC_HITS]++;
-            lat += s->P[P_RAC_CYCLES];
-            st[S_RAC]++;
-            st[S_RAC_LAT] += lat;
-            if (is_write && !*ownedp) {
-                lat += upgrade(s, nid, chunk, page, home, now + lat);
-                *ownedp = 1;
-                st[S_UPGRADES]++;
-            }
-        } else {
-            aux[A_RAC_MISSES]++;
-            DirOut o = fetch_raw(s, nid, chunk, page, is_write,
-                                 s->thr[nid], 1);
-            int64_t fl = remote_after_dir(s, &o, nid, chunk, home,
-                                          is_write, now + lat);
-            lat += s->P[P_DSM2] + fl;
-            if (!s->P[P_RAC_VICTIM]) rac_fill(s, nid, chunk);
-            classify(s, nid, chunk, o.refetch, lat);
-            if (is_write || o.exclusive) *ownedp = 1;
-        }
-    }
-    l1_fill_tail(s, nid, line, is_write);
-    st[S_USH] += lat;
-    return lat;
-}
-
-/* Pre-mutation mirror of shared_ref's residual decision: would this
- * reference exit to the scalar path *against current state*?  Used to
- * batch runs of consecutive residual events (fault storms, relocation
- * bursts) into one kernel exit.  Predictions that turn false while
- * Python drains the run are harmless: Engine._shared_ref handles every
- * shared reference bit-identically, residual or not. */
-static int is_residual(SoaState *s, int64_t nid, int64_t line) {
-    if (s->l1_tags[nid * s->P[P_N_SETS] + (line & s->P[P_SET_MASK])] == line)
-        return 0;                                   /* L1 hit */
-    int64_t page = line >> s->P[P_LINE_SHIFT];
-    int64_t pidx = nid * s->P[P_N_PAGES] + page;
-    int64_t mode = s->modes[pidx];
-    if (mode == 0) return 1;                        /* page fault */
-    if (mode == 3) {                                /* CCNUMA */
-        int64_t chunk = line >> s->P[P_CHUNK_SHIFT];
-        int64_t key = s->P[P_RAC_VICTIM] ? line : chunk;
-        if (s->rac[nid * s->P[P_RAC_ENTRIES]
-                   + (key & s->P[P_RAC_MASK])] != key) {
-            int64_t thr = s->thr[nid];
-            if (thr > 0
-                && ((s->copyset[chunk * s->P[P_CS_WORDS] + (nid >> 6)]
-                     >> (nid & 63)) & 1)
-                && s->refetch[page * s->P[P_N] + nid] + 1 >= thr)
-                return 1;                           /* relocation hint */
-        }
-    }
-    return 0;
-}
-
-/* The fast loop's scheduler + slice runner.  Exits to Python only for
- * runs of page faults / relocation hints (RC_RESIDUAL, run length in
- * ctl[C_RLEN]), a due pageout daemon (RC_DAEMON), a full barrier
- * (RC_BARRIER), a full event ring (RC_RING), deadlock, or completion;
- * ctl[] carries the resume point across RC_RESIDUAL / RC_DAEMON /
- * RC_RING. */
-int64_t soa_run(SoaState *s) {
-    const int64_t n = s->P[P_N];
-    /* Worst-case ring entries one shared reference can record: one
-     * demotion plus n-1 invalidations; exit to flush below that. */
-    const int64_t ring_room = (s->P[P_RING_INV] || s->P[P_RING_DEM])
-                              ? n + 2 : 0;
-    int64_t best, limit, now;
-    if (s->ctl[C_IN_SLICE]) {
-        best = s->ctl[C_BEST];
-        limit = s->ctl[C_LIMIT];
-        now = s->ctl[C_NOW];
-        s->ctl[C_IN_SLICE] = 0;
-        goto inner;
-    }
-    for (;;) {
-        /* Pick the runnable node with the smallest clock. */
-        best = -1;
-        {
-            int64_t best_clock = 0, runner_up = 0;
-            int has_best = 0, has_runner = 0;
-            for (int64_t i = 0; i < n; i++) {
-                if (s->finished[i] || s->waiting[i]) continue;
-                int64_t c = s->clock[i];
-                if (!has_best || c < best_clock) {
-                    runner_up = best_clock;
-                    has_runner = has_best;
-                    best_clock = c;
-                    best = i;
-                    has_best = 1;
-                } else if (!has_runner || c < runner_up) {
-                    runner_up = c;
-                    has_runner = 1;
-                }
-            }
-            if (best == -1) {
-                for (int64_t i = 0; i < n; i++)
-                    if (!s->finished[i]) return RC_DEADLOCK;
-                return RC_DONE;
-            }
-            limit = has_runner ? runner_up + s->P[P_QUANTUM]
-                               : s->P[P_NO_LIMIT];
-            now = s->clock[best];
-        }
-        /* run_daemon_if_due: checked once per fresh slice. */
-        if (s->below_min[best] && now >= s->next_run[best]) {
-            s->ctl[C_IN_SLICE] = 1;
-            s->ctl[C_BEST] = best;
-            s->ctl[C_LIMIT] = limit;
-            s->ctl[C_NOW] = now;
-            return RC_DAEMON;
-        }
-    inner:
-        {
-            int64_t off = s->tr_off[best];
-            int64_t p = s->pos[best];
-            int64_t e = s->tr_len[best];
-            const uint8_t *kinds = s->kinds + off;
-            const int64_t *args = s->args + off;
-            while (p < e && now < limit) {
-                uint8_t ev = kinds[p];
-                int64_t arg = args[p];
-                if (ev <= EV_WRITE) {
-                    if (ring_room
-                        && s->P[P_RING_CAP] - s->ctl[C_RING] < ring_room) {
-                        s->pos[best] = p;
-                        s->ctl[C_IN_SLICE] = 1;
-                        s->ctl[C_BEST] = best;
-                        s->ctl[C_LIMIT] = limit;
-                        s->ctl[C_NOW] = now;
-                        return RC_RING;
-                    }
-                    int64_t r = shared_ref(s, best, arg,
-                                           ev == EV_WRITE, now);
-                    if (r < 0) {
-                        /* Batch the exit: scan ahead for consecutive
-                         * shared refs that are also residual against
-                         * current state (bounded look-ahead).  Python
-                         * drains the whole run before re-entering. */
-                        int64_t scan = p + 1;
-                        while (scan < e && scan - p < 64
-                               && kinds[scan] <= EV_WRITE
-                               && is_residual(s, best, args[scan]))
-                            scan++;
-                        s->pos[best] = p;
-                        s->ctl[C_IN_SLICE] = 1;
-                        s->ctl[C_BEST] = best;
-                        s->ctl[C_LIMIT] = limit;
-                        s->ctl[C_NOW] = now;
-                        s->ctl[C_RLEN] = scan - p;
-                        return RC_RESIDUAL;
-                    }
-                    now += r;
-                    p++;
-                } else if (ev == EV_COMPUTE) {
-                    s->st[best * N_STATS + S_UINSTR] += arg;
-                    now += arg;
-                    p++;
-                } else if (ev == EV_LOCAL) {
-                    s->st[best * N_STATS + S_ULC] += arg;
-                    now += arg;
-                    p++;
-                } else {                             /* EV_BARRIER */
-                    p++;
-                    s->waiting[best] = 1;
-                    s->barrier_id[best] = arg;
-                    s->arrival[best] = now;
-                    break;
-                }
-            }
-            s->pos[best] = p;
-            s->clock[best] = now;
-            if (p >= e && !s->waiting[best]) s->finished[best] = 1;
-            if (s->waiting[best]) {
-                int64_t all = 1;
-                for (int64_t i = 0; i < n; i++)
-                    if (!s->finished[i] && !s->waiting[i]) { all = 0; break; }
-                if (all) return RC_BARRIER;
-            }
-        }
-    }
-}
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +176,18 @@ int64_t soa_run(SoaState *s) {
 # ---------------------------------------------------------------------------
 
 _KERNEL = None  # None = not tried yet; False = unavailable; (ffi, lib) = ok
+
+
+def _kernel_source() -> str:
+    with open(KERNEL_SOURCE, encoding="utf-8") as f:
+        return f.read()
+
+
+def _cdef(source: str) -> str:
+    """The cffi declarations: the source's own SoaState typedef plus
+    the entry point, so the struct layout has one definition."""
+    struct = re.search(r"typedef struct \{.*?\} SoaState;", source, re.S)
+    return struct.group(0) + "\nint64_t soa_run(SoaState *s);\n"
 
 
 def _cache_dir() -> str:
@@ -768,7 +204,7 @@ def _build_library() -> str | None:
     temp name, ``os.replace`` into place) so concurrent processes --
     the executor's worker pool warms up in parallel -- race benignly.
     """
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(_kernel_source().encode()).hexdigest()[:16]
     cache = _cache_dir()
     so_path = os.path.join(cache, f"soakernel-{digest}.so")
     if os.path.exists(so_path):
@@ -778,23 +214,20 @@ def _build_library() -> str | None:
         return None
     try:
         os.makedirs(cache, exist_ok=True)
-        fd, c_path = tempfile.mkstemp(suffix=".c", dir=cache)
-        with os.fdopen(fd, "w") as f:
-            f.write(_C_SOURCE)
-        tmp_so = c_path[:-2] + ".so"
+        fd, tmp_so = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
         try:
             proc = subprocess.run(
-                [cc, "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
+                [cc, "-O2", "-shared", "-fPIC", "-o", tmp_so, KERNEL_SOURCE],
                 capture_output=True, timeout=120)
             if proc.returncode != 0:
                 return None
             os.replace(tmp_so, so_path)
         finally:
-            for leftover in (c_path, tmp_so):
-                try:
-                    os.unlink(leftover)
-                except OSError:
-                    pass
+            try:
+                os.unlink(tmp_so)
+            except OSError:
+                pass
         return so_path
     except (OSError, subprocess.SubprocessError):
         return None
@@ -837,7 +270,7 @@ def _load_kernel():
     if so_path is None:
         return _fail("no C compiler found or compilation failed")
     ffi = cffi.FFI()
-    ffi.cdef(_CDEF)
+    ffi.cdef(_cdef(_kernel_source()))
     try:
         lib = ffi.dlopen(so_path)
     except OSError:
@@ -1402,6 +835,67 @@ class _HomeDict:
         return list(self)
 
 
+class _ClockView:
+    """PageTable.scoma_clock: the second-chance clock as a ring buffer.
+
+    The node's pages sit in ``buf`` (its row of ``clk_cap`` slots)
+    starting at ``head[i]``, ``length[i]`` of them -- the same ring the
+    kernel's choose_victim/evict/map walk.  Implements the deque
+    operations the page table, the pageout daemon and the audits use.
+    The ring never holds more pages than the node has frames, so
+    ``append`` past capacity is a frame-accounting bug and raises.
+    """
+
+    __slots__ = ("_buf", "_head", "_len", "_i")
+
+    def __init__(self, buf, head, length, i):
+        self._buf = buf
+        self._head = head
+        self._len = length
+        self._i = i
+
+    def _slot(self, k):
+        return (int(self._head[self._i]) + k) % len(self._buf)
+
+    def __len__(self):
+        return int(self._len[self._i])
+
+    def __getitem__(self, k):
+        n = len(self)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError("deque index out of range")
+        return int(self._buf[self._slot(k)])
+
+    def __iter__(self):
+        return iter([self[k] for k in range(len(self))])
+
+    def append(self, page):
+        n = len(self)
+        if n >= len(self._buf):
+            raise RuntimeError("S-COMA clock overflow: more pages than"
+                               " page-cache frames")
+        self._buf[self._slot(n)] = page
+        self._len[self._i] = n + 1
+
+    def rotate(self, k=1):
+        """deque.rotate; the daemon's second chance is ``rotate(-1)``."""
+        n = len(self)
+        if not n:
+            return
+        for _ in range(-k % n):
+            self._buf[self._slot(n)] = self._buf[self._slot(0)]
+            self._head[self._i] = self._slot(1)
+
+    def remove(self, page):
+        pages = list(self)
+        pages.remove(page)  # ValueError when absent, like deque
+        self._buf[:len(pages)] = pages
+        self._head[self._i] = 0
+        self._len[self._i] = len(pages)
+
+
 # ---------------------------------------------------------------------------
 # Eligibility + orchestration
 # ---------------------------------------------------------------------------
@@ -1410,24 +904,25 @@ def _eligible(engine) -> bool:
     """Cheap pre-flight: is this run inside the kernel's model?
 
     Anything that truly needs to observe *every* intermediate state
-    transition (unfiltered event-bus observers beyond the engine's own
-    page-memo invalidator -- which is how the invariant checker
-    attaches -- a directory message log, a time-series sampler) or a
-    shape the dense arrays cannot carry (associative L1, out-of-range
-    reference args) falls back to ``_run_fast``.
+    transition (any unfiltered event-bus observer -- which is how the
+    invariant checker attaches -- a directory message log, a
+    time-series sampler) or a shape the dense arrays cannot carry
+    (associative L1, out-of-range reference args) falls back to
+    ``_run_fast``.  The kernel itself maps, evicts and unmaps pages,
+    so an unfiltered observer could not see those transitions, and a
+    policy whose fault hooks it does not model (see
+    :func:`_first_touch_rule`) falls back too.
 
     Shapes that used to disqualify a run but no longer do:
 
     * **>62 nodes / chunks-per-page** -- copyset and S-COMA valid
       bitmaps are multi-word ``uint64`` rows now;
-    * **the page memo** -- the kernel never mutates page modes or
-      homes (faults, evictions, relocations and migrations all exit to
-      Python pre-mutation), so the memo and its unfiltered invalidator
-      observer stay exact across kernel slices;
     * **kind-filtered observers** (``repro.obs`` backoff telemetry) --
       run-structure kinds publish at Python exits exactly as before,
       and in-kernel invalidations/demotions are replayed post-slice
-      through the bounded event ring.
+      through the bounded event ring.  The page-management kinds the
+      kernel now performs itself (fault, map, evict, flush) publish
+      only to unfiltered observers, which are excluded above.
     """
     machine = engine.machine
     if not engine._l1_direct:
@@ -1436,9 +931,10 @@ def _eligible(engine) -> bool:
         return False
     if machine.directory.log is not None:
         return False
-    for ob in machine.events.observers:
-        if ob != engine._invalidate_memo:
-            return False
+    if machine.events.observers:
+        return False
+    if _first_touch_rule(engine) is None:
+        return False
     _, _, _, _, ref_lo, ref_hi = engine.workload.soa()
     if ref_hi >= 0:
         n_pages = engine.workload.total_shared_pages
@@ -1446,6 +942,47 @@ def _eligible(engine) -> bool:
         if ref_lo < 0 or ref_hi >= lines_total:
             return False
     return True
+
+
+def _first_touch_rule(engine) -> int | None:
+    """The policy's first-touch rule as a kernel rule code, or ``None``
+    when the kernel does not model the policy's faults.
+
+    The rule follows the hook implementations the policy actually
+    runs, checked by class identity, not its declared attributes:
+
+    * CC-NUMA only -- an ``initial_mode`` that always answers CC-NUMA
+      (CC-NUMA, migration, R-NUMA, VC-NUMA, AS-COMA with
+      ``scoma_first=False``).  Such a fault never maps S-COMA, so no
+      page-cache hook runs.
+    * S-COMA-if-free -- ``ASCOMAPolicy``'s hooks, no mandatory page
+      cache.
+    * Mandatory S-COMA -- ``SCOMAPolicy``'s hooks, evicting by unmap.
+
+    The two S-COMA rules also map and evict in the kernel, so they
+    need the default ``on_page_evicted`` and the node state of the
+    class whose ``initial_mode`` they model (no VC-NUMA-style
+    ``cached_pages`` bookkeeping).
+    """
+    policy = engine.policy
+    cls = type(policy)
+    if cls.initial_mode in _CCNUMA_INITIAL_MODES or (
+            cls.initial_mode is ASCOMAPolicy.initial_mode
+            and not policy.scoma_first):
+        return _FT_CCNUMA
+    if cls.on_page_evicted is not ArchitecturePolicy.on_page_evicted:
+        return None
+
+    def runs(owner):
+        return (cls.initial_mode is owner.initial_mode
+                and cls.make_node_state is owner.make_node_state)
+
+    if runs(ASCOMAPolicy) and not policy.mandatory_page_cache:
+        return _FT_SCOMA_IF_FREE
+    if (runs(SCOMAPolicy) and policy.mandatory_page_cache
+            and not policy.evict_to_ccnuma):
+        return _FT_SCOMA
+    return None
 
 
 def _merge_deltas(engine, st, aux, glob) -> None:
@@ -1462,6 +999,7 @@ def _merge_deltas(engine, st, aux, glob) -> None:
         l1s = node.l1.stats
         l1s.writebacks += int(arow[_A_WB])
         l1s.invalidations += int(arow[_A_INVAL])
+        l1s.flushed_lines += int(arow[_A_L1_FLUSHED])
         rac = node.rac
         rac.hits += int(arow[_A_RAC_HITS])
         rac.misses += int(arow[_A_RAC_MISSES])
@@ -1474,6 +1012,12 @@ def _merge_deltas(engine, st, aux, glob) -> None:
         bus.transactions += int(arow[_A_BUS_TX])
         bus.contended += int(arow[_A_BUS_CONT])
         bus.total_queue_cycles += int(arow[_A_BUS_Q])
+        node.page_table.faults += int(arow[_A_PT_FAULTS])
+        node.tlb.shootdowns += int(arow[_A_SHOOTDOWNS])
+        pool = node.pool
+        pool.allocations += int(arow[_A_POOL_ALLOC])
+        pool.releases += int(arow[_A_POOL_REL])
+        pool.failed_allocations += int(arow[_A_POOL_FAILED])
     net = machine.network
     net.messages += int(glob[_G_NET_MSGS])
     net.contended_messages += int(glob[_G_NET_CONT])
@@ -1489,13 +1033,73 @@ def _merge_deltas(engine, st, aux, glob) -> None:
     protocol.write_stalls += int(glob[_G_STALLS])
 
 
+def _kernel_params(engine, n_pages, ring_inv, ring_dem, ring_cap,
+                   clk_cap) -> np.ndarray:
+    """The kernel's params[] vector (geometry, latencies, costs)."""
+    machine = engine.machine
+    config = engine.config
+    node0 = machine.nodes[0]
+    mem0 = node0.memory
+    bus0 = machine.buses[0]
+    network = machine.network
+    costs = node0.costs
+    n = config.n_nodes
+    cpp = machine.amap.chunks_per_page
+    params = np.zeros(_N_PARAMS, dtype=np.int64)
+    params[_P_N] = n
+    params[_P_QUANTUM] = engine.quantum
+    params[_P_NO_LIMIT] = sys.maxsize
+    params[_P_LINE_SHIFT] = engine._line_shift
+    params[_P_CHUNK_SHIFT] = engine._chunk_shift
+    params[_P_CPP_MASK] = engine._cpp_mask
+    params[_P_SET_MASK] = node0.l1.set_mask
+    params[_P_RAC_MASK] = node0.rac.entry_mask
+    params[_P_RAC_VICTIM] = 1 if engine._rac_victim else 0
+    params[_P_HIT_CYCLES] = engine._hit_cycles
+    params[_P_RAC_CYCLES] = engine._rac_cycles
+    params[_P_DSM2] = engine._dsm2
+    params[_P_GRANT_EX] = 1 if machine.directory.grant_exclusive else 0
+    params[_P_STALL_INV] = 1 if machine.protocol.stall_on_invalidate else 0
+    params[_P_SKIP_NODE] = config.debug_skip_invalidate_node
+    params[_P_BANK_MASK] = mem0.bank_mask
+    params[_P_MEM_SERVICE] = mem0.service_cycles
+    params[_P_MEM_OCC] = mem0.occupancy_cycles
+    params[_P_MEM_MAXQ] = mem0.max_queue
+    params[_P_BUS_OCC] = bus0.occupancy
+    params[_P_BUS_FIXED] = bus0.fixed_cost
+    params[_P_BUS_MAXQ] = bus0.max_queue
+    params[_P_NET_OCC] = network.port_occupancy
+    params[_P_NET_MAXQ] = network.max_queue
+    params[_P_LPC] = 1 << engine._chunk_shift
+    params[_P_N_PAGES] = n_pages
+    params[_P_N_SETS] = node0.l1.n_sets
+    params[_P_N_BANKS] = len(mem0.busy_until)
+    params[_P_RAC_ENTRIES] = node0.rac.n_entries
+    params[_P_PC_SHIFT] = engine._line_shift - engine._chunk_shift
+    params[_P_N_CHUNKS] = n_pages * cpp
+    params[_P_CS_WORDS] = (n + 63) // 64
+    params[_P_SV_WORDS] = (cpp + 63) // 64
+    params[_P_RING_INV] = 1 if ring_inv else 0
+    params[_P_RING_DEM] = 1 if ring_dem else 0
+    params[_P_RING_CAP] = ring_cap
+    params[_P_FT_RULE] = _first_touch_rule(engine)
+    params[_P_PAGE_FAULT] = costs.page_fault
+    params[_P_PAGE_REMAP] = costs.page_remap
+    params[_P_FLUSH_PER_LINE] = costs.flush_per_line
+    params[_P_FRAMES] = node0.pool.capacity
+    params[_P_CLK_CAP] = clk_cap
+    return params
+
+
 def run_vector(engine) -> list[int] | None:
     """Run the engine's replay through the compiled SoA kernel.
 
     Returns the per-node finish clocks (plain ints), or ``None`` when
     the kernel is unavailable or the run is ineligible -- in which
     case nothing has been mutated and the caller falls back to
-    ``_run_fast``.
+    ``_run_fast``.  Raises ``RuntimeError`` when the kernel rejects its
+    own inputs or a forced eviction finds an empty clock (the scalar
+    path's ``Node.choose_victim`` raises there too).
     """
     kernel = _load_kernel()
     if kernel is None or not _eligible(engine):
@@ -1503,21 +1107,20 @@ def run_vector(engine) -> list[int] | None:
     ffi, lib = kernel
 
     machine = engine.machine
-    config = engine.config
     amap = machine.amap
     nodes = machine.nodes
     directory = machine.directory
     network = machine.network
     allocator = machine.allocator
-    n = config.n_nodes
-    n_pages = engine.workload.total_shared_pages
+    n = engine.config.n_nodes
+    # Dense arrays need at least one page; params[] promises exactly
+    # n_pages * chunks-per-page chunks (checked on kernel entry).
+    n_pages = max(engine.workload.total_shared_pages, 1)
     cpp = amap.chunks_per_page
     n_chunks = n_pages * cpp
     n_sets = nodes[0].l1.n_sets
     rac_entries = nodes[0].rac.n_entries
     n_banks = len(nodes[0].memory.busy_until)
-    mem0 = nodes[0].memory
-    bus0 = machine.buses[0]
 
     # --- trace SoA ---------------------------------------------------
     kinds_all, args_all, tr_off, tr_len, _, _ = engine.workload.soa()
@@ -1527,27 +1130,32 @@ def run_vector(engine) -> list[int] | None:
     # kernel model has no node-count or chunks-per-page ceiling.
     cs_words = (n + 63) // 64
     sv_words = (cpp + 63) // 64
-    copyset = np.zeros((max(n_chunks, 1), cs_words), dtype=np.uint64)
+    copyset = np.zeros((n_chunks, cs_words), dtype=np.uint64)
     for k, v in directory.copyset.items():
         _split_words(int(v), copyset[k])
-    owner = np.full(max(n_chunks, 1), -1, dtype=np.int64)
+    owner = np.full(n_chunks, -1, dtype=np.int64)
     for k, v in directory.owner.items():
         owner[k] = v
-    refetch = np.zeros(max(n_pages * n, 1), dtype=np.int64)
+    refetch = np.zeros(n_pages * n, dtype=np.int64)
     for (pg, nd), v in directory.refetch_count.items():
         refetch[pg * n + nd] = v
-    home = np.full(max(n_pages, 1), -1, dtype=np.int64)
+    home = np.full(n_pages, -1, dtype=np.int64)
     for pg, v in allocator.home.items():
         home[pg] = v
-    modes = np.zeros((n, max(n_pages, 1)), dtype=np.int64)
-    scoma_valid = np.zeros((n, max(n_pages, 1), sv_words), dtype=np.uint64)
-    pc_hits = np.full((n, max(n_pages, 1)), -1, dtype=np.int64)
-    ref_bits = np.zeros((n, max(n_pages, 1)), dtype=np.uint8)
-    owned = np.zeros((n, max(n_chunks, 1)), dtype=np.uint8)
-    ever = np.zeros((n, max(n_chunks, 1)), dtype=np.uint8)
+    modes = np.zeros((n, n_pages), dtype=np.int64)
+    scoma_valid = np.zeros((n, n_pages, sv_words), dtype=np.uint64)
+    pc_hits = np.full((n, n_pages), -1, dtype=np.int64)
+    ref_bits = np.zeros((n, n_pages), dtype=np.uint8)
+    owned = np.zeros((n, n_chunks), dtype=np.uint8)
+    ever = np.zeros((n, n_chunks), dtype=np.uint8)
     l1_tags = np.empty((n, n_sets), dtype=np.int64)
     l1_dirty = np.empty((n, n_sets), dtype=np.uint8)
     rac_arr = np.empty((n, rac_entries), dtype=np.int64)
+    # The second-chance clock never outgrows the node's frames.
+    clk_cap = max(1, nodes[0].pool.capacity)
+    clk_buf = np.zeros((n, clk_cap), dtype=np.int64)
+    clk_head = np.zeros(n, dtype=np.int64)
+    clk_len = np.zeros(n, dtype=np.int64)
     for i, node in enumerate(nodes):
         pt = node.page_table
         for pg, m in pt.mode.items():
@@ -1566,6 +1174,9 @@ def run_vector(engine) -> list[int] | None:
         l1_tags[i, :] = node.l1.tags
         l1_dirty[i, :] = [1 if d else 0 for d in node.l1.dirty]
         rac_arr[i, :] = node.rac.chunks
+        clock_pages = list(pt.scoma_clock)
+        clk_buf[i, :len(clock_pages)] = clock_pages
+        clk_len[i] = len(clock_pages)
 
     # --- scheduler state ---------------------------------------------
     pos = np.zeros(n, dtype=np.int64)
@@ -1574,13 +1185,12 @@ def run_vector(engine) -> list[int] | None:
     barrier_id = np.full(n, -1, dtype=np.int64)
     finished = np.array([tr_len[i] == 0 for i in range(n)], dtype=np.uint8)
     waiting = np.zeros(n, dtype=np.uint8)
-    ctl = np.zeros(8, dtype=np.int64)
+    ctl = np.zeros(_SKIP_DAEMON + 1, dtype=np.int64)
 
     # --- event ring + invalidation scratch ---------------------------
     # The ring records in-kernel invalidations/demotions only when a
-    # kind-filtered subscriber actually watches that kind; an
-    # unfiltered observer other than the page-memo invalidator already
-    # failed eligibility, and the memo invalidator ignores both kinds.
+    # kind-filtered subscriber actually watches that kind; unfiltered
+    # observers already failed eligibility.
     events = machine.events
     ring_inv = EV_INVALIDATE in events.kind_observers
     ring_dem = EV_DEMOTE in events.kind_observers
@@ -1595,50 +1205,16 @@ def run_vector(engine) -> list[int] | None:
     net_base = np.ascontiguousarray(np.array(network._base, dtype=np.int64))
 
     # --- per-boundary scalars + counter deltas -----------------------
-    below_min = np.zeros(n, dtype=np.uint8)
+    free_frames = np.zeros(n, dtype=np.int64)
+    free_min = np.array([nd.pool.free_min for nd in nodes], dtype=np.int64)
     next_run = np.zeros(n, dtype=np.int64)
     thr = np.zeros(n, dtype=np.int64)
     st = np.zeros((n, _N_STATS), dtype=np.int64)
     aux = np.zeros((n, _N_AUX), dtype=np.int64)
     glob = np.zeros(_N_GLOB, dtype=np.int64)
 
-    params = np.zeros(_N_PARAMS, dtype=np.int64)
-    params[_P_N] = n
-    params[_P_QUANTUM] = engine.quantum
-    params[_P_NO_LIMIT] = sys.maxsize
-    params[_P_LINE_SHIFT] = engine._line_shift
-    params[_P_CHUNK_SHIFT] = engine._chunk_shift
-    params[_P_CPP_MASK] = engine._cpp_mask
-    params[_P_SET_MASK] = nodes[0].l1.set_mask
-    params[_P_RAC_MASK] = nodes[0].rac.entry_mask
-    params[_P_RAC_VICTIM] = 1 if engine._rac_victim else 0
-    params[_P_HIT_CYCLES] = engine._hit_cycles
-    params[_P_RAC_CYCLES] = engine._rac_cycles
-    params[_P_DSM2] = engine._dsm2
-    params[_P_GRANT_EX] = 1 if directory.grant_exclusive else 0
-    params[_P_STALL_INV] = 1 if machine.protocol.stall_on_invalidate else 0
-    params[_P_SKIP_NODE] = config.debug_skip_invalidate_node
-    params[_P_BANK_MASK] = mem0.bank_mask
-    params[_P_MEM_SERVICE] = mem0.service_cycles
-    params[_P_MEM_OCC] = mem0.occupancy_cycles
-    params[_P_MEM_MAXQ] = mem0.max_queue
-    params[_P_BUS_OCC] = bus0.occupancy
-    params[_P_BUS_FIXED] = bus0.fixed_cost
-    params[_P_BUS_MAXQ] = bus0.max_queue
-    params[_P_NET_OCC] = network.port_occupancy
-    params[_P_NET_MAXQ] = network.max_queue
-    params[_P_LPC] = 1 << engine._chunk_shift
-    params[_P_N_PAGES] = max(n_pages, 1)
-    params[_P_N_SETS] = n_sets
-    params[_P_N_BANKS] = n_banks
-    params[_P_RAC_ENTRIES] = rac_entries
-    params[_P_PC_SHIFT] = engine._line_shift - engine._chunk_shift
-    params[_P_N_CHUNKS] = max(n_chunks, 1)
-    params[_P_CS_WORDS] = cs_words
-    params[_P_SV_WORDS] = sv_words
-    params[_P_RING_INV] = 1 if ring_inv else 0
-    params[_P_RING_DEM] = 1 if ring_dem else 0
-    params[_P_RING_CAP] = ring_cap
+    params = _kernel_params(engine, n_pages, ring_inv, ring_dem, ring_cap,
+                            clk_cap)
 
     # --- install the views: arrays become the single source of truth -
     directory.copyset = _MaskDict(copyset)
@@ -1651,6 +1227,7 @@ def run_vector(engine) -> list[int] | None:
         pt = node.page_table
         pt.mode = _ModeDict(modes[i])
         pt.scoma_valid = _ScomaValidDict(scoma_valid[i], modes[i])
+        pt.scoma_clock = _ClockView(clk_buf[i], clk_head, clk_len, i)
         node.pagecache_hits = _PcHitsDict(pc_hits[i])
         node.tlb.ref_bits = _RefBitsDict(ref_bits[i])
         node.owned = _ChunkSet(owned[i])
@@ -1696,9 +1273,13 @@ def run_vector(engine) -> list[int] | None:
     state.net_port = _ptr(net_port, "int64_t *")
     state.mem_busy = _ptr(mem_busy, "int64_t *")
     state.bus_busy = _ptr(bus_busy, "int64_t *")
-    state.below_min = _ptr(below_min, "uint8_t *")
+    state.free_frames = _ptr(free_frames, "int64_t *")
+    state.free_min = _ptr(free_min, "int64_t *")
     state.next_run = _ptr(next_run, "int64_t *")
     state.thr = _ptr(thr, "int64_t *")
+    state.clk_buf = _ptr(clk_buf, "int64_t *")
+    state.clk_head = _ptr(clk_head, "int64_t *")
+    state.clk_len = _ptr(clk_len, "int64_t *")
     state.st = _ptr(st, "int64_t *")
     state.aux = _ptr(aux, "int64_t *")
     state.glob = _ptr(glob, "int64_t *")
@@ -1708,11 +1289,11 @@ def run_vector(engine) -> list[int] | None:
     buses = machine.buses
 
     def _timing_in():
-        """Copy live timing state (lists/scalars) into the arrays."""
+        """Copy live timing state and free counts into the arrays."""
         for i, node in enumerate(nodes):
             mem_busy[i, :] = node.memory.busy_until
             bus_busy[i] = buses[i].busy_until
-            below_min[i] = 1 if node.pool.below_min else 0
+            free_frames[i] = node.pool.free
             next_run[i] = node.daemon.next_run_at
             thr[i] = node.policy_state.effective_threshold()
         net_port[:] = network.port_busy_until
@@ -1722,6 +1303,7 @@ def run_vector(engine) -> list[int] | None:
         for i, node in enumerate(nodes):
             node.memory.busy_until[:] = mem_busy[i].tolist()
             buses[i].busy_until = int(bus_busy[i])
+            node.pool.free = int(free_frames[i])
         network.port_busy_until[:] = net_port.tolist()
 
     pc_shift = int(params[_P_PC_SHIFT])
@@ -1745,54 +1327,76 @@ def run_vector(engine) -> list[int] | None:
         ctl[_RINGN] = 0
 
     # --- drive the kernel --------------------------------------------
-    while True:
-        _timing_in()
-        rc = int(lib.soa_run(state))
-        _timing_out()
-        _flush_ring()
-        if rc == _RESIDUAL:
-            # Drain the whole run of residual events the kernel
-            # batched up (page-fault storms, relocation bursts).  The
-            # first event was already admitted by the kernel's limit
-            # check; each later one re-checks the slice limit, exactly
-            # like the scalar loop's `while now < limit` would.
-            best = int(ctl[_BEST])
-            now = int(ctl[_NOW])
-            limit = int(ctl[_LIMIT])
-            run = int(ctl[_RLEN])
-            p = int(pos[best])
-            off = int(tr_off[best])
-            node = nodes[best]
-            shared_ref = engine._shared_ref
-            for j in range(run):
-                if j and now >= limit:
-                    break
-                now += shared_ref(node, int(args_all[off + p]),
-                                  int(kinds_all[off + p]) == EV_WRITE, now)
-                p += 1
-            pos[best] = p
-            ctl[_NOW] = now
-        elif rc == _RINGFULL:
-            pass  # flushed above; re-enter with a drained ring
-        elif rc == _DAEMON:
-            nodes[int(ctl[_BEST])].run_daemon_if_due(int(ctl[_NOW]))
-        elif rc == _BARRIER:
-            clock_l = clock.tolist()
-            arrival_l = arrival.tolist()
-            waiting_l = [bool(x) for x in waiting]
-            pos_l = pos.tolist()
-            end_l = tr_len.tolist()
-            finished_l = [bool(x) for x in finished]
-            bid_l = barrier_id.tolist()
-            engine._release_barrier(nodes, clock_l, arrival_l, waiting_l,
-                                    pos_l, end_l, finished_l, bid_l)
-            clock[:] = clock_l
-            waiting[:] = [1 if w else 0 for w in waiting_l]
-            finished[:] = [1 if f else 0 for f in finished_l]
-        elif rc == _DEADLOCK:
-            _merge_deltas(engine, st, aux, glob)
-            raise RuntimeError("deadlock: all unfinished nodes are waiting"
-                               " at a barrier that never released")
-        else:  # _DONE
-            _merge_deltas(engine, st, aux, glob)
-            return [int(c) for c in clock]
+    exits = dict.fromkeys(EXIT_REASONS, 0)
+    engine.kernel_exits = exits
+    try:
+        while True:
+            _timing_in()
+            rc = int(lib.soa_run(state))
+            _timing_out()
+            _flush_ring()
+            if rc == _RESIDUAL:
+                exits[EXIT_REASONS[int(ctl[_REASON])]] += 1
+                # Drain the whole run of residual events the kernel
+                # batched up (first touches, relocation bursts).  The
+                # first event was already admitted by the kernel's
+                # limit check; each later one re-checks the slice
+                # limit, exactly like the scalar loop's
+                # `while now < limit` would.
+                best = int(ctl[_BEST])
+                now = int(ctl[_NOW])
+                limit = int(ctl[_LIMIT])
+                run = int(ctl[_RLEN])
+                p = int(pos[best])
+                off = int(tr_off[best])
+                node = nodes[best]
+                shared_ref = engine._shared_ref
+                for j in range(run):
+                    if j and now >= limit:
+                        break
+                    now += shared_ref(node, int(args_all[off + p]),
+                                      int(kinds_all[off + p]) == EV_WRITE,
+                                      now)
+                    p += 1
+                pos[best] = p
+                ctl[_NOW] = now
+            elif rc == _RINGFULL:
+                exits["ring"] += 1  # flushed above; re-enter drained
+            elif rc == _DAEMON:
+                exits["daemon"] += 1
+                nodes[int(ctl[_BEST])].run_daemon_if_due(
+                    int(ctl[_DAEMON_AT]))
+            elif rc == _BARRIER:
+                exits["barrier"] += 1
+                clock_l = clock.tolist()
+                arrival_l = arrival.tolist()
+                waiting_l = [bool(x) for x in waiting]
+                pos_l = pos.tolist()
+                end_l = tr_len.tolist()
+                finished_l = [bool(x) for x in finished]
+                bid_l = barrier_id.tolist()
+                engine._release_barrier(nodes, clock_l, arrival_l,
+                                        waiting_l, pos_l, end_l,
+                                        finished_l, bid_l)
+                clock[:] = clock_l
+                waiting[:] = [1 if w else 0 for w in waiting_l]
+                finished[:] = [1 if f else 0 for f in finished_l]
+            elif rc == _DEADLOCK:
+                _merge_deltas(engine, st, aux, glob)
+                raise RuntimeError("deadlock: all unfinished nodes are"
+                                   " waiting at a barrier that never"
+                                   " released")
+            elif rc == _BAD_PARAMS:
+                raise RuntimeError("vector kernel rejected its shape/params"
+                                   " on entry (corrupt SoA state)")
+            elif rc == _EMPTY_CLOCK:
+                raise RuntimeError(f"node {int(ctl[_BEST])}: no S-COMA page"
+                                   " to evict (empty second-chance clock)")
+            else:  # _DONE
+                _merge_deltas(engine, st, aux, glob)
+                return [int(c) for c in clock]
+    finally:
+        # The clock is the one view exported back into a plain deque:
+        # after the run nothing bounds it by the frame count any more.
+        for node in nodes:
+            node.page_table.scoma_clock = deque(node.page_table.scoma_clock)

@@ -39,6 +39,11 @@ PRESSURES = (0.3, 0.9)
 CELLS = [(app, arch, pressure)
          for app in APPS for arch in ARCHITECTURES for pressure in PRESSURES]
 
+#: Thrashing pure S-COMA cells beyond radix: every refault takes an
+#: in-kernel page fault plus a forced eviction, on two more sharing
+#: patterns (barnes' tree walk, em3d's bipartite graph).
+THRASH_CELLS = [("barnes", "SCOMA", 0.7), ("em3d", "SCOMA", 0.9)]
+
 
 def run_cell(app, arch, pressure, *, config_kwargs=None, **engine_kwargs):
     wl = get_workload(app, SCALE)
@@ -59,18 +64,6 @@ class TestFastPathParity:
         fast = run_cell(app, arch, pressure, vector_path=False)
         reference = run_cell(app, arch, pressure, slow_path=True)
         assert fast == reference
-
-    @pytest.mark.parametrize("arch", ARCHITECTURES)
-    def test_page_memo_matches_reference(self, arch):
-        """The opt-in page memo must also be invisible in the results.
-
-        radix at high pressure exercises every memo invalidator:
-        faults, S-COMA (un)mappings, evictions, relocations, migration.
-        """
-        memo = run_cell("radix", arch, 0.9, page_memo=True,
-                        vector_path=False)
-        reference = run_cell("radix", arch, 0.9, slow_path=True)
-        assert memo == reference
 
     @pytest.mark.parametrize("arch", ("CCNUMA", "ASCOMA"))
     def test_associative_l1_parity(self, arch):
@@ -99,7 +92,7 @@ class TestThreeWayParity:
     (and the CI vector leg runs where a compiler is guaranteed).
     """
 
-    @pytest.mark.parametrize("app,arch,pressure", CELLS)
+    @pytest.mark.parametrize("app,arch,pressure", CELLS + THRASH_CELLS)
     def test_three_way_matrix(self, app, arch, pressure):
         reference = run_cell(app, arch, pressure, slow_path=True)
         fast = run_cell(app, arch, pressure, vector_path=False)
@@ -157,10 +150,9 @@ class TestThreeWayParity:
 class TestWidenedEligibility:
     """Shapes the kernel used to refuse and now replays natively:
     >62 nodes (multi-word copysets), >62 chunks per page (multi-word
-    S-COMA valid bitmaps), kind-filtered event-bus observers (served
-    by the in-kernel event ring) and the page memo (carried through,
-    its invalidators all publish at Python exits).  Each gets the same
-    three-way bit-identity check as the core matrix."""
+    S-COMA valid bitmaps) and kind-filtered event-bus observers
+    (served by the in-kernel event ring).  Each gets the same three-way
+    bit-identity check as the core matrix."""
 
     def _wide_workload(self):
         from repro.workloads import synthetic
@@ -202,25 +194,16 @@ class TestWidenedEligibility:
         assert fast == reference
         assert vector == reference
 
-    def test_page_memo_rides_the_kernel(self):
-        """The memo's unfiltered observer no longer disqualifies: all
-        of its invalidator events publish at scalar exits, so memo +
-        vector must equal the plain reference run."""
-        memo_vec = run_cell("radix", "ASCOMA", 0.9, page_memo=True,
-                            vector_path=True)
-        reference = run_cell("radix", "ASCOMA", 0.9, slow_path=True)
-        assert memo_vec == reference
-
     def test_widened_shapes_pass_preflight(self):
-        """_eligible itself (no kernel needed): 96 nodes, a
-        kind-filtered observer and the page memo must all pass."""
+        """_eligible itself (no kernel needed): 96 nodes and a
+        kind-filtered observer must both pass."""
         from repro.obs.backoff import BackoffTelemetry
         from repro.sim.soatrace import _eligible
         wl = self._wide_workload()
         cfg = SystemConfig(n_nodes=96, memory_pressure=0.6)
         from repro.core import make_policy
         engine = Engine(wl, make_policy("ascoma", threshold=8, increment=4),
-                        cfg, page_memo=True)
+                        cfg)
         BackoffTelemetry().attach(engine)
         assert _eligible(engine)
 
