@@ -1,23 +1,21 @@
 """Continuous-benchmark regression gate against the committed baseline.
 
 Compares fresh runs of the headline benchmarks -- ``matrix_micro``
-(default-dispatch replay throughput, vector-auto since PR 9),
-``vector:matrix_micro`` (the vectorized SoA loop pinned explicitly)
-and ``matrix_e2e`` (the full 90-cell parallel matrix) -- against the
+(default-dispatch replay throughput, through the compiled kernel) and
+``matrix_e2e`` (the full 90-cell parallel matrix) -- against the
 numbers committed in ``BENCH_pr9.json`` at the repo root, and fails on
 a >20% events/sec drop.  Hardware differences between the committing
 machine and the test machine are real, so the gate is deliberately
-loose -- it exists to catch order-of-magnitude regressions (an
-accidentally disabled fast path, a per-event allocation creeping back
-in, the trace cache silently missing), not single-digit noise.
+loose -- it exists to catch order-of-magnitude regressions (a run
+silently falling back to the reference loop, a per-event allocation
+creeping back in, the trace cache silently missing), not single-digit
+noise.
 
 Hardware-independent self-checks back it up, all measured as
-same-process ratios: the fast path must outrun the reference loop, the
-vector path must beat the fast path by >=3x when the compiled kernel
-is available, a default-constructed engine must actually dispatch into
-the kernel (the PR-9 vector-auto claim -- a silent eligibility
-regression would otherwise keep every gate green while the matrix
-quietly runs scalar), the default dispatch must replay each of
+same-process ratios: a default-constructed engine must actually
+dispatch into the kernel (the PR-9 vector-auto claim -- a silent
+eligibility regression would otherwise keep every gate green while the
+matrix quietly runs scalar), the default dispatch must replay each of
 ``DISPATCH_CELLS`` no slower than the reference loop, a trace-cache
 hit must beat regeneration,
 ``--obs`` telemetry must stay within its budget, and a warm-server
@@ -49,10 +47,6 @@ BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pr9.json"
 
 #: Fail below this fraction of the committed throughput.
 FLOOR = 0.8
-
-#: Minimum fast->vector speedup on the matrix micro slice, enforced
-#: whenever the compiled SoA kernel is available on this host.
-VECTOR_FLOOR = 3.0
 
 #: Minimum committed matrix_e2e speedup over the embedded PR-8
 #: baseline -- the PR-9 acceptance claim, checked against the artifact
@@ -108,28 +102,6 @@ def test_matrix_micro_throughput(committed):
     assert fresh.events_per_sec >= floor, (
         f"matrix_micro regressed: {fresh.events_per_sec:,.0f} ev/s is below "
         f"{FLOOR:.0%} of the committed {base['events_per_sec']:,.0f} ev/s")
-
-
-def test_vector_matrix_micro_throughput(committed):
-    """Absolute gate on the vectorized loop against the committed
-    baseline, mirroring the scalar matrix_micro gate.  Skipped when
-    the compiled kernel is unavailable -- a degraded vector run would
-    measure the fast path and fail spuriously."""
-    from repro.perf import bench_vector_matrix_micro
-    from repro.sim.soatrace import vector_available
-
-    if not vector_available():
-        pytest.skip("compiled SoA kernel unavailable on this host")
-    base = committed.get("vector:matrix_micro")
-    assert base, f"{BENCH_JSON.name} has no vector:matrix_micro entry"
-    fresh = bench_vector_matrix_micro(repeats=3)
-    assert fresh.events == base["events"], (
-        f"vector:matrix_micro workload changed; regenerate {BENCH_JSON.name}")
-    floor = FLOOR * base["events_per_sec"]
-    assert fresh.events_per_sec >= floor, (
-        f"vector:matrix_micro regressed: {fresh.events_per_sec:,.0f} ev/s is "
-        f"below {FLOOR:.0%} of the committed {base['events_per_sec']:,.0f} "
-        f"ev/s")
 
 
 def test_matrix_e2e_throughput(committed):
@@ -188,12 +160,11 @@ def test_vector_default_engages_kernel(monkeypatch):
     from repro.harness.experiment import get_workload, scaled_policy
     from repro.sim import soatrace
     from repro.sim.config import SystemConfig
-    from repro.sim.engine import Engine, default_vector_mode
+    from repro.sim.engine import Engine, default_slow_path
 
-    monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
     monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
-    assert default_vector_mode() == "auto", (
-        "a clean environment must dispatch in vector-auto mode")
+    assert not default_slow_path(), (
+        "a clean environment must dispatch kernel-first")
     if not soatrace.vector_available():
         pytest.skip("compiled SoA kernel unavailable on this host")
 
@@ -205,7 +176,7 @@ def test_vector_default_engages_kernel(monkeypatch):
         outcomes.append(result)
         return result
 
-    # Engine._run_vector imports run_vector lazily from the module, so
+    # Engine.run imports run_vector lazily from the module, so
     # patching the module attribute intercepts the dispatch.
     monkeypatch.setattr(soatrace, "run_vector", probe)
     wl = get_workload("fft", 0.05)
@@ -237,8 +208,7 @@ def test_obs_overhead_within_budget():
     micro slice.  Measured as a same-process ratio, so the gate is
     hardware independent; a failure means an instrumentation site
     leaked onto the hot path (most likely by subscribing an unfiltered
-    observer, which disqualifies the run from the vector kernel and
-    the scalar fast path both)."""
+    observer, which disqualifies the run from the vector kernel)."""
     from repro.perf import bench_obs_overhead
 
     result = bench_obs_overhead(repeats=3)
@@ -263,55 +233,6 @@ def test_serve_warm_beats_cold_cli():
         f"warm serve round-trip ({result.meta['roundtrip_s']:.4f}s) is only "
         f"{result.meta['speedup_x']:.1f}x faster than a cold CLI run "
         f"({result.meta['cold_cli_s']:.4f}s); the gate requires >=5x")
-
-
-def test_fast_path_beats_reference(committed):
-    """The whole point of the fast path: it must outrun the reference
-    loop on the same cells, in the same process, on this machine --
-    a hardware-independent self-check of the committed speedup claim."""
-    from repro.harness.experiment import get_workload, scaled_policy
-    from repro.perf import MATRIX_CELLS, MICRO_SCALE, run_bench
-    from repro.sim.config import SystemConfig
-    from repro.sim.engine import Engine
-
-    wls = {app: get_workload(app, MICRO_SCALE) for app, _, _ in MATRIX_CELLS}
-
-    def once(slow):
-        for app, arch, pr in MATRIX_CELLS:
-            wl = wls[app]
-            cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=pr)
-            # vector_path=False pins the scalar loop: under the
-            # vector-auto default the non-slow leg would otherwise
-            # measure the kernel, not the fast path this test names.
-            kwargs = {"slow_path": True} if slow else {"vector_path": False}
-            Engine(wl, scaled_policy(arch), config=cfg, **kwargs).run()
-
-    fast = run_bench("fast", lambda: once(False), 1, repeats=2)
-    slow = run_bench("slow", lambda: once(True), 1, repeats=2)
-    assert fast.wall_s < slow.wall_s, (
-        f"fast path ({fast.wall_s:.3f}s) is not faster than the reference "
-        f"loop ({slow.wall_s:.3f}s)")
-
-
-def test_vector_path_beats_fast_by_3x():
-    """The vectorized loop's acceptance claim: >=3x over the scalar
-    fast path on the matrix micro slice, measured in the same process
-    on this machine so the gate is hardware independent.  A failure
-    means either the kernel fell back to scalar replay mid-matrix
-    (an eligibility regression) or per-slice Python overhead crept
-    into the drive loop.  Skipped without a working C compiler, where
-    the vector engine intentionally degrades to the fast path."""
-    from repro.perf import bench_vector_matrix_micro
-    from repro.sim.soatrace import vector_available
-
-    if not vector_available():
-        pytest.skip("compiled SoA kernel unavailable on this host")
-    result = bench_vector_matrix_micro(repeats=3)
-    assert result.meta["speedup_x"] >= VECTOR_FLOOR, (
-        f"vector path ({result.wall_s:.3f}s) is only "
-        f"{result.meta['speedup_x']:.2f}x faster than the scalar fast path "
-        f"({result.meta['fast_wall_s']:.3f}s); the gate requires "
-        f">={VECTOR_FLOOR:.0f}x")
 
 
 #: Cells on which the default ``auto`` dispatch must not lose to the
@@ -341,7 +262,6 @@ def test_auto_dispatch_not_slower_than_reference(monkeypatch, app, arch,
     from repro.sim.config import SystemConfig
     from repro.sim.engine import Engine
 
-    monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
     monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
     wl = get_workload(app, 0.1)
     wl.soa()  # decode once, outside both timings

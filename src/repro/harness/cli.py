@@ -92,23 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="workload scale factor (default 0.5)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result store")
-    vector = parser.add_mutually_exclusive_group()
-    vector.add_argument("--vector", action="store_true",
-                        help="force the vectorized SoA loop (sets"
-                             " REPRO_VECTOR_PATH=1 for this invocation"
-                             " and its pool workers; falls back to the"
-                             " scalar fast path where the compiled"
-                             " kernel is unavailable)")
-    vector.add_argument("--no-vector", action="store_true",
-                        help="pin the scalar fast path even if"
-                             " REPRO_VECTOR_PATH is set in the"
-                             " environment")
-    vector.add_argument("--vector-mode", choices=("auto", "on", "off"),
-                        help="explicit three-state dispatch: 'auto'"
-                             " (the default with no flag and no"
-                             " REPRO_VECTOR_PATH) uses the kernel"
-                             " whenever the run is eligible, 'on' and"
-                             " 'off' match --vector/--no-vector")
     parser.add_argument("--refresh", action="store_true",
                         help="re-simulate cached cells (and re-store them)")
     parser.add_argument("--store-dir",
@@ -893,15 +876,6 @@ def _make_recorder(args):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Loop selection travels via the environment (never the spec hash),
-    # so executor pool workers inherit it with zero plumbing -- the
-    # same contract as REPRO_SLOW_PATH.
-    if args.vector:
-        os.environ["REPRO_VECTOR_PATH"] = "1"
-    elif args.no_vector:
-        os.environ["REPRO_VECTOR_PATH"] = "0"
-    elif args.vector_mode:
-        os.environ["REPRO_VECTOR_PATH"] = args.vector_mode
     from ..obs import use_obs
     from ..runtime import RunStore, TraceStore, use_store, use_trace_store
     store = None if args.no_cache else RunStore(args.store_dir)

@@ -15,7 +15,7 @@ between the two.  It produces one JSONL stream per observed run
   disable/re-enable, thrash events) as a per-cell time series with
   barrier phase markers, via a kind-filtered
   :class:`~repro.sim.events.EventBus` subscription that leaves the
-  replay fast path untouched (:mod:`repro.obs.backoff`).
+  replay kernel eligible (:mod:`repro.obs.backoff`).
 
 Enable with ``--obs`` on ``repro run``/``repro matrix`` (or
 ``REPRO_OBS=1``); inspect with ``repro obs summary|timeline|export``.

@@ -21,7 +21,6 @@ from .suite import (ALL_APPS, E2E_SCALE, MATRIX_CELLS, MICRO_SCALE,
                     bench_matrix_micro, bench_obs_overhead,
                     bench_serve_warm, bench_single_cell,
                     bench_trace_generation, bench_trace_generation_cached,
-                    bench_vector_matrix_micro,
                     bench_payload, load_bench_json, run_suite)
 from .timing import BenchResult, Timer, peak_rss_kib, run_bench
 
@@ -36,7 +35,6 @@ __all__ = [
     "MATRIX_CELLS",
     "bench_single_cell",
     "bench_matrix_micro",
-    "bench_vector_matrix_micro",
     "bench_matrix_e2e",
     "bench_trace_generation",
     "bench_trace_generation_cached",

@@ -1,6 +1,6 @@
 """The curated microbenchmark suite behind ``python -m repro bench``.
 
-Ten benchmark families, chosen to bracket the simulator's cost
+Nine benchmark families, chosen to bracket the simulator's cost
 structure (docs/performance.md):
 
 * ``single:<app>/<arch>`` -- one evaluation cell per architecture, so a
@@ -9,14 +9,8 @@ structure (docs/performance.md):
   (fft + em3d across all five architectures at 70% pressure); this is
   the headline number and what ``BENCH_*.json`` speedups are quoted
   against;
-* ``vector:matrix_micro`` -- the same 10-cell slice replayed through
-  the vectorized SoA loop (``repro.sim.soatrace``); ``meta`` records
-  the scalar fast-path wall time and the speedup factor, which the
-  regression gate holds at >=3x whenever the compiled kernel is
-  available;
 * ``matrix_e2e`` -- the full 90-cell parallel matrix through the
-  runtime executor, new dispatch (trace cache + warm workers + LPT)
-  versus the preserved legacy pool path;
+  runtime executor (trace cache + warm workers + LPT dispatch);
 * ``tracegen:<app>`` -- workload generation for each of the six apps
   (numpy-vectorised, so it regresses independently of the replay loop);
 * ``tracegen_cached:<app>`` -- the same workload served from the trace
@@ -59,7 +53,7 @@ from .timing import BenchResult, run_bench
 __all__ = ["MICRO_SCALE", "E2E_SCALE", "ALL_APPS", "MATRIX_APPS",
            "MATRIX_PRESSURE", "MATRIX_CELLS",
            "bench_single_cell", "bench_matrix_micro",
-           "bench_vector_matrix_micro", "bench_matrix_e2e",
+           "bench_matrix_e2e",
            "bench_trace_generation", "bench_trace_generation_cached",
            "bench_checker_overhead", "bench_obs_overhead",
            "bench_serve_warm", "bench_sampling", "run_suite",
@@ -92,9 +86,9 @@ def _workload_events(wl) -> int:
     return sum(len(t.kinds) for t in wl.traces)
 
 
-def _engine(wl, arch: str, pressure: float, **engine_kwargs) -> Engine:
+def _engine(wl, arch: str, pressure: float) -> Engine:
     cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=pressure)
-    return Engine(wl, scaled_policy(arch), config=cfg, **engine_kwargs)
+    return Engine(wl, scaled_policy(arch), config=cfg)
 
 
 # ----------------------------------------------------------------------
@@ -130,38 +124,6 @@ def bench_matrix_micro(repeats: int = 3) -> BenchResult:
     return run_bench("matrix_micro", once, events, repeats,
                      meta={"cells": len(MATRIX_CELLS), "apps": MATRIX_APPS,
                            "pressure": MATRIX_PRESSURE, "scale": MICRO_SCALE})
-
-
-def bench_vector_matrix_micro(repeats: int = 3) -> BenchResult:
-    """The matrix micro slice through the vectorized SoA loop.
-
-    Identical cell set, scale and timing method to ``matrix_micro`` --
-    only the replay loop differs -- so the two benches' events/sec are
-    directly comparable and the recorded speedup is exactly the
-    fast->vector win.  ``meta["kernel_available"]`` records whether the
-    compiled kernel actually ran: without a C compiler the vector
-    engine degrades to the scalar fast path and the factor sits near
-    1.0, which the regression gate treats as a skip, not a failure.
-    """
-    from ..sim.soatrace import vector_available
-
-    wls = {app: get_workload(app, MICRO_SCALE) for app in MATRIX_APPS}
-    events = sum(_workload_events(wls[app]) for app, _, _ in MATRIX_CELLS)
-
-    def once(vector: bool) -> None:
-        for app, arch, pr in MATRIX_CELLS:
-            _engine(wls[app], arch, pr, vector_path=vector).run()
-
-    fast = run_bench("_fast", lambda: once(False), events, repeats)
-    result = run_bench("vector:matrix_micro", lambda: once(True),
-                       events, repeats,
-                       meta={"cells": len(MATRIX_CELLS), "apps": MATRIX_APPS,
-                             "pressure": MATRIX_PRESSURE,
-                             "scale": MICRO_SCALE,
-                             "kernel_available": vector_available()})
-    result.meta["fast_wall_s"] = round(fast.wall_s, 6)
-    result.meta["speedup_x"] = round(fast.wall_s / result.wall_s, 3)
-    return result
 
 
 def bench_trace_generation(app: str = "em3d", scale: float = MICRO_SCALE,
@@ -206,21 +168,14 @@ def bench_trace_generation_cached(app: str = "em3d",
 
 
 def bench_matrix_e2e(repeats: int = 2, scale: float = E2E_SCALE) -> BenchResult:
-    """The full 90-cell parallel matrix: new dispatch vs legacy pool.
+    """The full 90-cell parallel matrix through the runtime executor.
 
     Each timed run models a fresh CLI invocation by dropping the
-    process-level workload caches first.  The legacy run then behaves
-    exactly like the pre-trace-cache executor (cold pool, submission
-    order, ``chunksize=1``, workloads regenerated in-process); the new
-    run resolves workloads from a pre-populated
-    :class:`~repro.runtime.tracecache.TraceStore` and dispatches
-    pre-warmed, costliest-first, in chunks.  Both paths bypass the
-    result store so every repeat simulates every cell.
-
-    ``meta`` records the legacy wall time, the speedup factor and the
-    host's CPU count: the dispatch-level win grows with worker count,
-    while on a single-CPU host both paths are replay-bound and the
-    factor sits near 1.0.
+    process-level workload caches first, then resolves workloads from
+    a pre-populated :class:`~repro.runtime.tracecache.TraceStore` and
+    dispatches pre-warmed, costliest-first, in chunks.  The run
+    bypasses the result store so every repeat simulates every cell.
+    ``meta`` records the host's CPU count.
     """
     from ..harness.parallel import matrix_specs
     from ..runtime import execute, use_trace_store
@@ -236,29 +191,21 @@ def bench_matrix_e2e(repeats: int = 2, scale: float = E2E_SCALE) -> BenchResult:
         clear_trace_memo()
         get_workload.cache_clear()
 
-    def legacy_run() -> None:
-        cold_process_caches()
-        with use_trace_store(None):
-            execute(specs, store=None, parallel=True, legacy_pool=True)
-
     with tempfile.TemporaryDirectory() as tmp:
         trace_store = TraceStore(tmp)
         with use_trace_store(trace_store):
             for app in apps:
                 fetch_traces(app, scale)  # pre-populate the cache
 
-        def new_run() -> None:
+        def cold_run() -> None:
             cold_process_caches()
             with use_trace_store(trace_store):
                 execute(specs, store=None, parallel=True)
 
-        legacy = run_bench("_legacy", legacy_run, events, repeats)
-        result = run_bench("matrix_e2e", new_run, events, repeats,
+        result = run_bench("matrix_e2e", cold_run, events, repeats,
                            meta={"cells": len(specs), "scale": scale,
                                  "apps": apps})
     cold_process_caches()
-    result.meta["legacy_wall_s"] = round(legacy.wall_s, 6)
-    result.meta["speedup_x"] = round(legacy.wall_s / result.wall_s, 3)
     result.meta["cpu_count"] = os.cpu_count()
     return result
 
@@ -302,7 +249,7 @@ def bench_obs_overhead(repeats: int = 3) -> BenchResult:
     a real JSONL sink.  ``meta["overhead_x"]`` is the factor users pay
     for ``--obs``; ``benchmarks/test_perf_regression.py`` gates it at
     <=2% (the budget that motivated kind-filtered subscriptions — a
-    full observer would cost 2-4x by disabling the replay fast path).
+    full observer would cost 2-4x by disqualifying the replay kernel).
     """
     from ..obs import BackoffTelemetry, ObsSink, SpanRecorder
     from ..runtime import RunSpec
@@ -454,15 +401,14 @@ def bench_sampling(app: str = "em3d", arch: str = "SCOMA",
 def run_suite(repeats: int = 3, only: str | None = None) -> list[BenchResult]:
     """Run the whole curated suite; *only* filters by name substring.
 
-    ``matrix_e2e`` is capped at best-of-2: it simulates 90 cells twice
-    per repeat (new + legacy path), so letting it scale with *repeats*
-    would dominate the suite's runtime.
+    ``matrix_e2e`` is capped at best-of-2: it simulates 90 cells per
+    repeat, so letting it scale with *repeats* would dominate the
+    suite's runtime.
     """
     benches = [
         *(lambda a=arch: bench_single_cell(a, repeats=repeats)
           for arch in ARCHITECTURES),
         lambda: bench_matrix_micro(repeats=repeats),
-        lambda: bench_vector_matrix_micro(repeats=repeats),
         lambda: bench_matrix_e2e(repeats=min(repeats, 2)),
         *(lambda a=app: bench_trace_generation(a, repeats=repeats)
           for app in ALL_APPS),
@@ -474,7 +420,7 @@ def run_suite(repeats: int = 3, only: str | None = None) -> list[BenchResult]:
         lambda: bench_sampling(repeats=repeats),
     ]
     names = [f"single:fft/{arch}" for arch in ARCHITECTURES]
-    names += ["matrix_micro", "vector:matrix_micro", "matrix_e2e"]
+    names += ["matrix_micro", "matrix_e2e"]
     names += [f"tracegen:{app}" for app in ALL_APPS]
     names += [f"tracegen_cached:{app}" for app in ALL_APPS]
     names += ["checker:fft/ASCOMA", "obs_overhead", "serve_warm"]

@@ -18,8 +18,8 @@ The architecture weights are *calibrated from measurement*, not
 guessed: ``BENCH_pr3.json``'s ``single:fft/<arch>`` benchmarks give
 events/second per architecture on the reference machine; the weight is
 each architecture's per-event time relative to ASCOMA.  The scalar
-spread is small (~4%) because PR 3 flattened the replay fast path, but
-LPT only needs *ranks* to be right, and event counts dominate those.
+spread is small (~4%), and LPT only needs *ranks* to be right, which
+event counts dominate.
 
 The vector kernel reshuffles those ranks: in-kernel events cost near
 nothing, so a cell's time is dominated by how often it *exits* the
@@ -39,7 +39,7 @@ __all__ = ["ARCH_WEIGHTS", "DEFAULT_ARCH_WEIGHT", "VECTOR_ARCH_WEIGHTS",
            "DEFAULT_VECTOR_ARCH_WEIGHT", "workload_events",
            "spec_cost", "lpt_order", "submit_chunksize"]
 
-#: Relative per-event replay time on the *scalar* fast path,
+#: Relative per-event replay time off the kernel (scalar replay),
 #: ASCOMA = 1.0.  Derived from BENCH_pr3.json ``single:fft/*``
 #: events/s (859544 / arch ev/s): CC-NUMA re-fetches remote lines
 #: forever under pressure, so it pays the most per event; the
@@ -75,18 +75,18 @@ DEFAULT_VECTOR_ARCH_WEIGHT = 1.10
 def _vector_substrate() -> bool:
     """Will workers replay through the vector kernel by default?
 
-    True iff vector dispatch is not pinned off process-wide *and* the
-    compiled kernel actually loads here (workers are forked from — or
-    configured identically to — this process).  Probed per call; the
-    kernel load itself is memoized, so this is one env read plus one
-    memo lookup after the first call.  Env parsing is delegated to
-    :func:`~repro.sim.engine.default_vector_mode` so the cost model,
-    the engine, the CLI and the job server all read
-    ``REPRO_VECTOR_PATH`` with the same (strict) rules.
+    True iff ``REPRO_SLOW_PATH`` does not select the reference loop
+    process-wide *and* the compiled kernel actually loads here
+    (workers are forked from — or configured identically to — this
+    process).  Probed per call; the kernel load itself is memoized, so
+    this is one env read plus one memo lookup after the first call.
+    Env parsing is delegated to
+    :func:`~repro.sim.engine.default_slow_path`, the predicate the
+    engine itself reads.
     """
-    from ..sim.engine import default_vector_mode
+    from ..sim.engine import default_slow_path
 
-    if default_vector_mode() == "off":
+    if default_slow_path():
         return False
     from ..sim.soatrace import vector_available
 
@@ -116,7 +116,7 @@ def spec_cost(spec: RunSpec, events: int | None = None,
     *events* is the workload's total event count; ``None`` looks it up
     (generating or cache-hitting the trace as a side effect).
     *vector* selects the weight table — ``True`` for the vector kernel,
-    ``False`` for the scalar fast path, ``None`` (default) for
+    ``False`` for the reference loop, ``None`` (default) for
     whichever substrate this process would actually dispatch on.
     """
     if events is None:

@@ -39,10 +39,7 @@ pool *initializer* re-installs the ambient
 :class:`~repro.runtime.tracecache.TraceStore` and pre-imports the
 simulator so a worker's first cell pays no import/generation cost.
 Cells dispatch costliest-first (LPT, see :mod:`repro.runtime.costs`)
-in chunks sized to amortise pickle round-trips.  Setting
-``REPRO_LEGACY_POOL=1`` (or ``legacy_pool=True``) restores the
-pre-PR 4 dispatch — cold workers, submission order, ``chunksize=1`` —
-which is what the ``matrix_e2e`` benchmark compares against.
+in chunks sized to amortise pickle round-trips.
 """
 
 from __future__ import annotations
@@ -186,7 +183,7 @@ def log_progress(event: str, spec: RunSpec, detail: str = "",
 def execute(specs, *, store=None, refresh: bool | None = None,
             parallel: bool = True, max_workers: int | None = None,
             retries: int = 0, progress=None, check: bool = False,
-            legacy_pool: bool = False, obs=None) -> dict:
+            obs=None) -> dict:
     """Run many specs; returns ``{spec: RunResult | RunFailure}``.
 
     *store* defaults to the ambient store (``None`` disables caching);
@@ -203,9 +200,6 @@ def execute(specs, *, store=None, refresh: bool | None = None,
     inline — same results, none of the fork/pickle overhead.  An
     explicit *max_workers* is clamped to the number of cells actually
     dispatched, so a generous ``--workers`` never forks idle workers.
-    ``legacy_pool=True`` (or ``REPRO_LEGACY_POOL=1``) restores the
-    pre-PR 4 cold-pool dispatch for benchmarking (it too runs inline
-    when only one worker would be used).
 
     *obs* is an optional :class:`~repro.obs.SpanRecorder` (defaulting
     to the ambient one, see :func:`repro.obs.use_obs`); with one
@@ -243,16 +237,8 @@ def execute(specs, *, store=None, refresh: bool | None = None,
             todo.append(spec)
 
     if todo:
-        legacy_pool = legacy_pool or os.environ.get("REPRO_LEGACY_POOL") == "1"
         workers = min(max_workers or (os.cpu_count() or 2), len(todo))
-        payloads = [(spec, retries, check, obs is not None) for spec in todo]
-        if parallel and workers > 1 and legacy_pool:
-            with ProcessPoolExecutor(max_workers=workers) as pool, \
-                    _span(obs, "dispatch", cells=len(todo), workers=workers,
-                          pool="legacy"):
-                outcomes = pool.map(_pool_worker, payloads)
-                pairs = list(zip(todo, outcomes))
-        elif parallel and workers > 1:
+        if parallel and workers > 1:
             with _span(obs, "prewarm", cells=len(todo)):
                 events_of = _prewarm(todo)
             ordered = lpt_order(todo, events_of)
@@ -269,7 +255,7 @@ def execute(specs, *, store=None, refresh: bool | None = None,
                 outcomes = pool.map(_pool_worker, payloads, chunksize=chunk)
                 pairs = list(zip(ordered, outcomes))
         else:
-            if parallel and len(todo) > 1 and not legacy_pool:
+            if parallel and len(todo) > 1:
                 with _span(obs, "prewarm", cells=len(todo)):
                     _prewarm(todo)  # single worker: still warm the memo once
             with _span(obs, "dispatch", cells=len(todo), workers=1,

@@ -28,10 +28,11 @@ workload is regenerated and the entry rewritten.  The cache changes
 *when* traces are built, never *what* is built — ``tests/test_tracecache.py``
 pins cached-vs-regenerated bit-identity.
 
-Replay-loop selection (``REPRO_SLOW_PATH`` / ``REPRO_VECTOR_PATH``)
-never enters :func:`trace_key` for the same reason it stays out of
-``RunSpec.spec_hash()``: the loops are bit-identical consumers of the
-same trace arrays, and the vectorized loop's SoA decode
+Replay-loop selection (``REPRO_SLOW_PATH``) never enters
+:func:`trace_key` for the same reason it stays out of
+``RunSpec.spec_hash()``: the kernel and the reference loop are
+bit-identical consumers of the same trace arrays, and the kernel's SoA
+decode
 (:meth:`~repro.sim.trace.WorkloadTraces.soa`) is a per-process view
 built lazily on top of whatever this cache loads.
 

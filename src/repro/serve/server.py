@@ -195,19 +195,20 @@ class JobServer:
         """Server info embedded in ``ping`` responses.
 
         The ``vector`` block reports the replay substrate cells will
-        actually dispatch on: the process-wide mode
-        (:func:`~repro.sim.engine.default_vector_mode`) and whether the
+        actually dispatch on: whether ``REPRO_SLOW_PATH`` pins the
+        reference loop process-wide
+        (:func:`~repro.sim.engine.default_slow_path`) and whether the
         compiled kernel loads here (workers fork from, or are
         configured identically to, this process).
         """
-        from ..sim.engine import default_vector_mode
+        from ..sim.engine import default_slow_path
         from ..sim.soatrace import vector_available
         from .protocol import PROTOCOL_VERSION
         return {
             "protocol": PROTOCOL_VERSION,
             "backend": self.backend,
             "workers": self.workers,
-            "vector": {"mode": default_vector_mode(),
+            "vector": {"slow_path": default_slow_path(),
                        "available": vector_available()},
             "max_queued": self.max_queued,
             "live_jobs": len(self.jobs.live()),

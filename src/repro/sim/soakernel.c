@@ -138,7 +138,7 @@ static int params_ok(const SoaState *s) {
  * itself (chunk invalidations, owner demotions) are recorded here when
  * a kind-filtered EventBus subscriber watches them, and replayed by the
  * Python drive loop at the next kernel exit -- identical events, identical
- * clocks, identical order to what the scalar loops publish. */
+ * clocks, identical order to what the reference loop publishes. */
 static void ring_push(SoaState *s, int64_t kind, int64_t node,
                       int64_t chunk, int64_t clk) {
     int64_t *e = &s->ring[s->ctl[C_RING] * 4];
@@ -734,7 +734,7 @@ static void suspend(SoaState *s, int64_t best, int64_t limit, int64_t now) {
     s->ctl[C_NOW] = now;
 }
 
-/* The fast loop's scheduler + slice runner.  Exits to Python only for
+/* The kernel's scheduler + slice runner.  Exits to Python only for
  * runs of residual references (RC_RESIDUAL: first touches, relocation
  * hints, or faults the policy's first-touch rule leaves to Python; run
  * length in ctl[C_RLEN], reason of the first in ctl[C_REASON]), a due

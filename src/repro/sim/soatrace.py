@@ -1,12 +1,11 @@
 """Structure-of-arrays replay substrate: the compiled replay kernel.
 
-The engine's vector path (``vector_path=True`` / ``REPRO_VECTOR_PATH=1``,
-and the default ``auto`` dispatch) re-expresses the scalar replay over a
-dense structure-of-arrays decode of the machine state: every dict/set
-the scalar loops mutate per event (directory copyset/owner, page-table
-modes and S-COMA valid masks, refetch counters, TLB reference bits, L1
-tags, RAC slots, ownership sets, free-frame counts, the second-chance
-clock) becomes a flat numpy array, and the per-event scheduler,
+The engine's default substrate re-expresses the reference replay loop
+over a dense structure-of-arrays decode of the machine state: every
+dict/set the reference loop mutates per event (directory
+copyset/owner, page-table modes and S-COMA valid masks, refetch
+counters, TLB reference bits, L1 tags, RAC slots, ownership sets,
+free-frame counts, the second-chance clock) becomes a flat numpy array, and the per-event scheduler,
 classification, protocol arithmetic and page management run as a small
 C kernel (``soakernel.c``, shipped next to this module) over those
 arrays.  The kernel is a direct transliteration of
@@ -39,9 +38,9 @@ Exit ``barrier``/``ring``     barrier release; a full event ring
 Per-reason exit counts are recorded on ``engine.kernel_exits`` (runtime
 only: never in ``RunResult`` or the store).
 
-Bit-identical output to the scalar loops is the contract: same
+Bit-identical output to the reference loop is the contract: same
 ``RunResult.to_dict()``, same goldens, same store hashes (see
-``tests/test_perf_parity.py``'s three-way differential matrix).
+``tests/test_perf_parity.py``'s differential matrix).
 
 Implementation notes
 --------------------
@@ -54,7 +53,7 @@ Implementation notes
   time-series sampler, a directory message log, any unfiltered
   event-bus observer, a policy whose fault hooks the kernel does not
   model), :func:`run_vector` returns ``None`` and the
-  engine degrades loss-free to ``_run_fast`` (a single
+  engine degrades loss-free to ``_run_reference`` (a single
   ``RuntimeWarning`` flags environment problems such as a missing
   compiler or a corrupt kernel cache; see :func:`_load_kernel`).
   Copyset and S-COMA valid bitmaps are multi-word, so there is no
@@ -242,13 +241,13 @@ def _fail(reason: str):
     ``.so`` that will not rebuild -- warns, because the user has the
     pieces for the vector kernel and is losing it to an environment
     problem.  Results are unaffected either way: the engine degrades
-    loss-free to the scalar fast path.
+    loss-free to the reference loop.
     """
     global _KERNEL
     _KERNEL = False
     warnings.warn(
-        f"vector kernel unavailable ({reason}); falling back to the scalar"
-        " fast path (results are identical, replay is slower)",
+        f"vector kernel unavailable ({reason}); falling back to the"
+        " reference loop (results are identical, replay is slower)",
         RuntimeWarning, stacklevel=4)
     return None
 
@@ -908,8 +907,8 @@ def _eligible(engine) -> bool:
     invariant checker attaches -- a directory message log, a
     time-series sampler) or a shape the dense arrays cannot carry
     (associative L1, out-of-range reference args) falls back to
-    ``_run_fast``.  The kernel itself maps, evicts and unmaps pages,
-    so an unfiltered observer could not see those transitions, and a
+    ``_run_reference``.  The kernel itself maps, evicts and unmaps
+    pages, so an unfiltered observer could not see those transitions, and a
     policy whose fault hooks it does not model (see
     :func:`_first_touch_rule`) falls back too.
 
@@ -1097,9 +1096,9 @@ def run_vector(engine) -> list[int] | None:
     Returns the per-node finish clocks (plain ints), or ``None`` when
     the kernel is unavailable or the run is ineligible -- in which
     case nothing has been mutated and the caller falls back to
-    ``_run_fast``.  Raises ``RuntimeError`` when the kernel rejects its
-    own inputs or a forced eviction finds an empty clock (the scalar
-    path's ``Node.choose_victim`` raises there too).
+    ``_run_reference``.  Raises ``RuntimeError`` when the kernel
+    rejects its own inputs or a forced eviction finds an empty clock
+    (the reference loop's ``Node.choose_victim`` raises there too).
     """
     kernel = _load_kernel()
     if kernel is None or not _eligible(engine):

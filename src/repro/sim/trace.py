@@ -303,7 +303,7 @@ class WorkloadTraces:
         architectures and pressures, and the per-process trace memo
         shares the ``WorkloadTraces`` instance across those runs, so the
         concatenation cost amortises the same way :meth:`Trace.as_lists`
-        does for the scalar loops.  All arrays are read-only for
+        does for the reference loop.  All arrays are read-only for
         callers.
         """
         cached = getattr(self, "_soa_cache", None)

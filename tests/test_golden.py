@@ -46,7 +46,7 @@ def _check_golden(key):
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_golden_counters(key):
-    """The pins, replayed through the default (fast-path) engine."""
+    """The pins, replayed through the default engine (the kernel)."""
     _check_golden(key)
 
 
@@ -54,28 +54,11 @@ def test_golden_counters(key):
 def test_golden_counters_reference_path(key, monkeypatch):
     """The same pins through the pre-optimization reference loop.
 
-    Together with ``test_golden_counters`` this nails both replay loops
-    to the *same* seed-era numbers -- the goldens predate the fast
-    path, so neither loop may have drifted from the original model
-    (tests/test_perf_parity.py checks the loops against each other;
-    this checks them against history).
+    Together with ``test_golden_counters`` this nails both substrates
+    to the *same* seed-era numbers -- the goldens predate the kernel,
+    so neither substrate may have drifted from the original model
+    (tests/test_perf_parity.py checks them against each other; this
+    checks them against history).
     """
-    monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
     monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-    _check_golden(key)
-
-
-@pytest.mark.parametrize("key", sorted(GOLDEN))
-def test_golden_counters_vector_path(key, monkeypatch):
-    """The same pins through the vectorized SoA loop.
-
-    With all three loop variants pinned to the identical table, the
-    engine's mutual-checking triangle is anchored to history: the
-    vector path (repro.sim.soatrace) may never drift from the numbers
-    the scalar loops have carried since the seed.  When the compiled
-    kernel is unavailable the engine silently degrades to the fast
-    path, which this test then re-pins -- still a valid assertion.
-    """
-    monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
-    monkeypatch.setenv("REPRO_VECTOR_PATH", "1")
     _check_golden(key)

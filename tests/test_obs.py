@@ -33,7 +33,7 @@ class TestEventBusKinds:
 
     def test_filtered_subscription_keeps_fast_paths_on(self):
         """The whole point: a kind-filtered observer must not appear in
-        ``observers`` — the engine's inlined fast path and the hot
+        ``observers`` — the replay kernel's eligibility and the hot
         publish-site guards key off that list."""
         bus = EventBus()
         bus.subscribe(lambda e: None, kinds=(EV_DAEMON, EV_BARRIER))
@@ -260,7 +260,7 @@ class TestAcceptance:
                                             memory_pressure=0.7))
         telemetry = BackoffTelemetry().attach(engine)
         bus = engine.machine.events
-        assert bus.observers == []  # fast path stays eligible
+        assert bus.observers == []  # the kernel stays eligible
         telemetry.detach(engine)
         assert bus.kind_observers == {}
 

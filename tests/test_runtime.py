@@ -381,19 +381,6 @@ class TestPoolSizing:
         assert fake_pool == []  # no pool for a 1-cell dispatch
         assert isinstance(out[SPEC], RunResult)
 
-    def test_one_worker_legacy_pool_runs_inline(self, fake_pool):
-        """Satellite bugfix: the legacy path used to fork a pool even
-        for a single worker; it now routes inline like the new path."""
-        out = execute(self.GOOD, store=None, parallel=True, max_workers=1,
-                      legacy_pool=True)
-        assert fake_pool == []
-        assert all(isinstance(r, RunResult) for r in out.values())
-
-    def test_legacy_pool_with_multiple_workers_still_forks(self, fake_pool):
-        out = execute(self.GOOD, store=None, parallel=True, max_workers=2,
-                      legacy_pool=True)
-        assert fake_pool == [2]
-        assert all(isinstance(r, RunResult) for r in out.values())
 
 
 class TestDedupe:

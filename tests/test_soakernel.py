@@ -85,7 +85,7 @@ class TestKernelHardening:
 
         monkeypatch.setattr(soatrace, "_kernel_params", corrupt)
         with pytest.raises(RuntimeError, match="rejected its shape/params"):
-            _small_engine(vector_path=True).run()
+            _small_engine(slow_path=False).run()
 
     def test_corrupt_ring_capacity_is_rejected(self, monkeypatch):
         """A ring too small for one reference's worst case would make
@@ -100,7 +100,7 @@ class TestKernelHardening:
             return params
 
         monkeypatch.setattr(soatrace, "_kernel_params", corrupt)
-        engine = _small_engine(vector_path=True)
+        engine = _small_engine(slow_path=False)
         engine.machine.events.subscribe(lambda ev: None,
                                         kinds=(EV_INVALIDATE,))
         with pytest.raises(RuntimeError, match="rejected its shape/params"):
@@ -120,7 +120,7 @@ class TestKernelHardening:
 
     def test_empty_clock_is_an_error_code(self):
         with pytest.raises(RuntimeError, match="empty second-chance clock"):
-            self._dry_engine(vector_path=True).run()
+            self._dry_engine(slow_path=False).run()
 
     def test_empty_clock_mirrors_the_scalar_error(self):
         with pytest.raises(RuntimeError, match="no S-COMA page to evict"):
@@ -202,7 +202,7 @@ class TestFirstTouchRule:
             engine = Engine(wl, policy_cls(), cfg, **kwargs)
             return engine, engine.run().to_dict()
 
-        engine, vector = run(vector_path=True)
+        engine, vector = run(slow_path=False)
         assert soatrace._first_touch_rule(engine) is None
         assert not soatrace._eligible(engine)
         assert engine.kernel_exits == {}

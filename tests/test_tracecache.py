@@ -15,7 +15,7 @@ import pytest
 import repro.sim.trace as trace_mod
 from repro.harness.experiment import get_workload
 from repro.harness.parallel import run_cells
-from repro.runtime import (RunSpec, TraceStore, clear_trace_memo, execute,
+from repro.runtime import (RunSpec, TraceStore, clear_trace_memo,
                            fetch_traces, lpt_order, spec_cost,
                            submit_chunksize, trace_key, use_trace_store)
 
@@ -254,7 +254,7 @@ class TestSoaSidecar:
             return Engine(wl, scaled_policy("ASCOMA"), config=cfg,
                           **kwargs).run().to_dict()
 
-        vector = run(warm, vector_path=True)
+        vector = run(warm, slow_path=False)
         reference = run(get_workload(APP, SCALE), slow_path=True)
         assert vector == reference
 
@@ -296,8 +296,20 @@ class TestCostModel:
 
     def test_substrate_probe_respects_pinned_off(self, monkeypatch):
         from repro.runtime import costs
-        monkeypatch.setenv("REPRO_VECTOR_PATH", "0")
+        monkeypatch.setenv("REPRO_SLOW_PATH", "1")
         assert costs._vector_substrate() is False
+
+    @pytest.mark.parametrize("value,slow", [("", False), ("false", False),
+                                            ("on", True)])
+    def test_substrate_probe_reads_the_engine_predicate(self, monkeypatch,
+                                                        value, slow):
+        """Workers replaying the reference loop must be ordered with the
+        scalar weights: the probe applies the engine's own strict parse
+        of ``REPRO_SLOW_PATH``."""
+        from repro.runtime import costs
+        from repro.sim.soatrace import vector_available
+        monkeypatch.setenv("REPRO_SLOW_PATH", value)
+        assert costs._vector_substrate() is (not slow and vector_available())
 
     def test_lpt_vector_flag_changes_ranks_not_membership(self):
         specs = [RunSpec("fft", arch, 0.7)
@@ -332,15 +344,6 @@ class TestCrossProcessDeterminism:
         for cell in self.CELLS:
             assert serial[cell].to_dict() == parallel[cell].to_dict(), cell
 
-    def test_legacy_pool_matches_new_dispatch(self, tmp_path):
-        specs = [RunSpec(app, arch, 0.5, SCALE)
-                 for app, arch, _, _ in self.CELLS[:2]]
-        with use_trace_store(_store(tmp_path)):
-            new = execute(specs, store=None, parallel=True, max_workers=2)
-            legacy = execute(specs, store=None, parallel=True, max_workers=2,
-                             legacy_pool=True)
-        for spec in specs:
-            assert new[spec].to_dict() == legacy[spec].to_dict()
 
 
 class TestConcurrentMutation:

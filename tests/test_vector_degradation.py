@@ -1,10 +1,9 @@
 """Vector-kernel degradation corners.
 
-The vector path's environment contract: whatever is wrong with the
-host -- cffi present but no C compiler, a corrupted cached ``.so``, an
-unwritable ``$REPRO_VECTOR_CACHE`` -- a run asked to use the kernel
-must degrade *loss-free* to the scalar fast path (bit-identical
-result), flag the problem with exactly one ``RuntimeWarning`` per
+The kernel's environment contract: whatever is wrong with the host --
+cffi present but no C compiler, a corrupted cached ``.so``, an
+unwritable ``$REPRO_VECTOR_CACHE`` -- a default run must degrade
+*loss-free* to the reference loop (bit-identical result), flag the problem with exactly one ``RuntimeWarning`` per
 process, and never raise.  A pre-built ``.so`` must keep loading with
 no compiler at all: that is the contract CI's kernel-cache step leans
 on.
@@ -51,14 +50,14 @@ def _vector_warnings(caught):
 
 class TestMissingCompiler:
     def test_falls_back_with_one_warning(self, kernel_sandbox, monkeypatch):
-        """cffi importable, no cc/gcc anywhere: scalar results, one
+        """cffi importable, no cc/gcc anywhere: reference results, one
         warning for the first run, silence (and no crash) after."""
         monkeypatch.setattr(soatrace.shutil, "which", lambda name: None)
         reference = _run(slow_path=True)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            first = _run(vector_path=True)
-            second = _run(vector_path=True)
+            first = _run(slow_path=False)
+            second = _run(slow_path=False)
         assert first == reference
         assert second == reference
         assert len(_vector_warnings(caught)) == 1
@@ -66,7 +65,9 @@ class TestMissingCompiler:
 
     def test_auto_mode_degrades_identically(self, kernel_sandbox,
                                             monkeypatch):
-        """The default ``auto`` dispatch hits the same fallback."""
+        """The same fallback and single warning for an engine that
+        leaves the substrate to the environment (``slow_path=None``,
+        the default)."""
         monkeypatch.setattr(soatrace.shutil, "which", lambda name: None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -98,20 +99,20 @@ class TestCorruptCachedKernel:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert soatrace.vector_available() is True
-            vector = _run(vector_path=True)
+            vector = _run(slow_path=False)
         assert not _vector_warnings(caught)
         assert vector == _run(slow_path=True)
 
     def test_corrupt_so_without_compiler_warns_once(self, kernel_sandbox,
                                                     monkeypatch):
         """Corrupt ``.so`` *and* no compiler to rebuild with: one
-        warning, loss-free scalar fallback."""
+        warning, loss-free fallback to the reference loop."""
         self._corrupt_fresh_so()
         monkeypatch.setattr(soatrace.shutil, "which", lambda name: None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            vector = _run(vector_path=True)
-            _run(vector_path=True)
+            vector = _run(slow_path=False)
+            _run(slow_path=False)
         assert len(_vector_warnings(caught)) == 1
         assert "corrupt" in str(_vector_warnings(caught)[0].message)
         assert vector == _run(slow_path=True)
@@ -122,7 +123,7 @@ class TestUnwritableCache:
     def test_unwritable_cache_dir_falls_back(self, tmp_path, monkeypatch):
         """$REPRO_VECTOR_CACHE that cannot be created (a path *under a
         regular file* -- robust even when the suite runs as root, for
-        whom chmod 0o500 is not a barrier): one warning, scalar
+        whom chmod 0o500 is not a barrier): one warning, reference
         results, no partial files, no crash."""
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
@@ -133,7 +134,7 @@ class TestUnwritableCache:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                vector = _run(vector_path=True)
+                vector = _run(slow_path=False)
             assert len(_vector_warnings(caught)) == 1
             assert vector == _run(slow_path=True)
             assert soatrace.vector_available() is False
@@ -153,4 +154,4 @@ class TestPrebuiltKernelCache:
             warnings.simplefilter("always")
             assert soatrace.vector_available() is True
         assert not _vector_warnings(caught)
-        assert _run(vector_path=True) == _run(slow_path=True)
+        assert _run(slow_path=False) == _run(slow_path=True)
