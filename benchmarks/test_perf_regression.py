@@ -17,9 +17,8 @@ dispatch into the kernel (the PR-9 vector-auto claim -- a silent
 eligibility regression would otherwise keep every gate green while the
 matrix quietly runs scalar), the default dispatch must replay each of
 ``DISPATCH_CELLS`` no slower than the reference loop, a trace-cache
-hit must beat regeneration,
-``--obs`` telemetry must stay within its budget, and a warm-server
-round-trip must beat a cold CLI invocation by >=5x.  Two artifact
+hit must beat regeneration, and ``--obs`` telemetry must stay within
+its budget.  Two artifact
 checks pin the committed payload itself: the embedded baseline must be
 the PR-8 payload and its recorded ``matrix_e2e`` speedup must hold the
 >=2x acceptance claim, and a fresh ``matrix_e2e`` must clear an
@@ -216,23 +215,6 @@ def test_obs_overhead_within_budget():
         f"--obs overhead {result.meta['overhead_x']:.3f}x exceeds the "
         f"{OBS_BUDGET:.2f}x budget (observed {result.wall_s:.4f}s vs plain "
         f"{result.meta['plain_wall_s']:.4f}s)")
-
-
-def test_serve_warm_beats_cold_cli():
-    """The serve layer's acceptance claim: a warm-server submit->result
-    round-trip for a cached cell must be at least 5x faster than a cold
-    ``repro run`` process invocation of the same cached cell.  Measured
-    as a same-machine ratio (both sides pay this host's disk and CPU),
-    so the gate is hardware independent; a failure means the server is
-    paying per-job costs it exists to amortise (imports, trace/store
-    setup, pool spin-up) on every submit."""
-    from repro.perf import bench_serve_warm
-
-    result = bench_serve_warm(repeats=2)
-    assert result.meta["speedup_x"] >= 5.0, (
-        f"warm serve round-trip ({result.meta['roundtrip_s']:.4f}s) is only "
-        f"{result.meta['speedup_x']:.1f}x faster than a cold CLI run "
-        f"({result.meta['cold_cli_s']:.4f}s); the gate requires >=5x")
 
 
 #: Cells on which the default ``auto`` dispatch must not lose to the

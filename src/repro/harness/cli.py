@@ -16,9 +16,6 @@ Commands
                        (info|list|clear|trace-info|trace-list|trace-clear)
 ``obs ACTION``         inspect recorded run telemetry
                        (summary|timeline|export)
-``serve``              run the persistent async job server
-``submit APP ARCH``    submit one run to a running server
-``jobs``               list a running server's jobs
 ``ingest PATH``        register an external trace file as a workload
 ``sample-report``      sampled-vs-full error analysis (committed configs)
 
@@ -36,16 +33,6 @@ raw sampled metrics plus scale-up estimates (see ``docs/sampling.md``).
 ``time,node,addr,op`` or a Cydonia-style block trace) into a
 store-backed workload and prints the ``ext/<name>@<hash>`` app id that
 ``run`` then accepts in place of a generated app name.
-
-Serving
--------
-``repro serve`` keeps traces, the result store and a warm worker pool
-resident and accepts jobs over a Unix socket (default
-``results/serve.sock``, or ``$REPRO_SERVE_SOCKET``/``--socket``;
-``--tcp HOST:PORT`` for TCP).  ``repro submit``/``repro jobs`` are thin
-clients, and ``run``/``matrix`` accept ``--server PATH`` to route
-through a running server — falling back to in-process execution when
-none is listening.  See ``docs/serving.md`` for the protocol.
 
 Caching
 -------
@@ -124,12 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="regenerate one app's Figure 2/3 charts")
     p.add_argument("app")
 
-    def add_server_flag(p, default=None) -> None:
-        p.add_argument("--server", default=default, metavar="SOCKET",
-                       help="route through a running job server at this"
-                            " Unix socket (falls back to in-process"
-                            " execution when none is listening)")
-
     def add_sample_flags(p) -> None:
         p.add_argument("--sample-rate", type=int, default=1, metavar="K",
                        help="keep every K-th sampling unit of the trace"
@@ -160,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attach the online invariant checker"
                         " (bypasses the result store)")
     add_sample_flags(p)
-    add_server_flag(p)
     add_obs_flags(p)
 
     p = sub.add_parser("sweep", help="pressure sweep for one app")
@@ -183,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attach the online invariant checker to every"
                         " cell (bypasses the result store)")
     add_sample_flags(p)
-    add_server_flag(p)
     add_obs_flags(p)
 
     p = sub.add_parser("ingest",
@@ -290,40 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="FILE",
                    help="export: write here instead of stdout")
 
-    p = sub.add_parser("serve",
-                       help="run the persistent async job server")
-    p.add_argument("--socket", default=None, metavar="PATH",
-                   help="Unix socket to listen on (default"
-                        " results/serve.sock or $REPRO_SERVE_SOCKET)")
-    p.add_argument("--tcp", default=None, metavar="HOST:PORT",
-                   help="listen on TCP instead of a Unix socket")
-    p.add_argument("--workers", type=int, default=None,
-                   help="simulation worker count (default: CPU count)")
-    p.add_argument("--inline", action="store_true",
-                   help="simulate on threads in the server process"
-                        " instead of a worker pool (lowest submit"
-                        " latency; best for store-hit-heavy traffic)")
-    p.add_argument("--max-queued", type=int, default=32,
-                   help="live-job bound before submits are rejected"
-                        " with backpressure (default 32)")
-    p.add_argument("--keep-jobs", type=int, default=256,
-                   help="terminal jobs retained for status/result"
-                        " queries (default 256)")
-    add_obs_flags(p)
-
-    p = sub.add_parser("submit",
-                       help="submit one run to a running job server")
-    p.add_argument("app")
-    p.add_argument("arch")
-    p.add_argument("--pressure", type=float, default=0.7)
-    p.add_argument("--quantum", type=int, default=None)
-    p.add_argument("--detach", action="store_true",
-                   help="return the job id immediately instead of"
-                        " streaming progress and waiting")
-    add_server_flag(p)
-
-    p = sub.add_parser("jobs", help="list a running server's jobs")
-    add_server_flag(p)
     return parser
 
 
@@ -362,37 +307,6 @@ def _run_summary(app: str, pressure: float, result) -> str:
     return "\n".join(lines)
 
 
-def _server_client(args):
-    """A connected ``ServeClient`` for ``--server``, or ``None``.
-
-    ``None`` means "fall back to in-process execution" — either no
-    ``--server`` was given or nothing answers at the socket (a note
-    goes to stderr so the fallback is never silent).
-    """
-    server = getattr(args, "server", None)
-    if not server:
-        return None
-    from ..serve import ServeClient, server_available
-    if not server_available(server):
-        print(f"no job server at {server}; running in-process",
-              file=sys.stderr)
-        return None
-    return ServeClient(server)
-
-
-def _print_cell_events(event: dict, stream=None) -> None:
-    """Progress printer for streamed server events (log_progress style)."""
-    if event.get("ev") != "cell":
-        return
-    tag = {"hit": "cached", "run": "ran", "fail": "FAILED",
-           "attach": "attach", "store-fail": "!store"}.get(
-        event.get("name"), event.get("name"))
-    line = f"[{tag:>6}] {event.get('spec')}"
-    if event.get("error"):
-        line += f" ({event['error']})"
-    print(line, file=stream or sys.stderr)
-
-
 def _sample_from_args(args):
     """The :class:`SampleSpec` described by ``--sample-*``, or ``None``."""
     from ..workloads.sample import SampleSpec
@@ -419,23 +333,6 @@ def _sampled_summary(args, sample, result) -> str:
 def _cmd_run(args) -> str:
     from .experiment import run_app
     sample = _sample_from_args(args)
-    if not args.check:
-        client = _server_client(args)
-        if client is not None:
-            from ..runtime import RunFailure, RunSpec
-            with client:
-                spec = RunSpec.make(args.app, args.arch, args.pressure,
-                                    args.scale, quantum=args.quantum,
-                                    sample=sample)
-                job = client.submit([spec], stream=True,
-                                    on_event=_print_cell_events)
-                outcome = client.outcomes(job["id"]).get(spec)
-            if outcome is None or isinstance(outcome, RunFailure):
-                raise ValueError(outcome.label() if outcome is not None
-                                 else f"job {job['id']} returned no result")
-            if sample is not None:
-                return _sampled_summary(args, sample, outcome)
-            return _run_summary(args.app, args.pressure, outcome)
     result = run_app(args.app, args.arch, args.pressure, scale=args.scale,
                      check=args.check, quantum=args.quantum, sample=sample)
     if sample is not None:
@@ -478,16 +375,9 @@ def _cmd_matrix(args):
                              f" choose from {sorted(APP_PRESSURES)}")
     specs = matrix_specs(apps, args.scale, quantum=args.quantum,
                          sample=_sample_from_args(args))
-    client = None if args.check else _server_client(args)
-    if client is not None:
-        with client:
-            job = client.submit(specs, stream=True, retries=args.retries,
-                                on_event=_print_cell_events)
-            outcomes = client.outcomes(job["id"])
-    else:
-        outcomes = execute(specs, parallel=not args.serial,
-                           max_workers=args.workers, retries=args.retries,
-                           progress=log_progress, check=args.check)
+    outcomes = execute(specs, parallel=not args.serial,
+                       max_workers=args.workers, retries=args.retries,
+                       progress=log_progress, check=args.check)
     failures = [o for o in outcomes.values() if isinstance(o, RunFailure)]
     violations = 0
     per_app: dict = {}
@@ -617,9 +507,11 @@ def _cmd_check(args):
     return "\n".join(lines), (1 if checker.violations else 0)
 
 
-def _cmd_claims(args) -> str:
+def _cmd_claims(args):
     from .claims import render_scorecard, validate_all
-    return render_scorecard(validate_all(scale=args.scale))
+    claims = validate_all(scale=args.scale)
+    failed = sum(not c.passed for c in claims)
+    return render_scorecard(claims), (1 if failed else 0)
 
 
 def _cmd_bench(args) -> str:
@@ -754,87 +646,6 @@ def _cmd_obs(args) -> str:
     return text
 
 
-def _cmd_serve(args) -> str:
-    import asyncio
-
-    from ..obs import get_default_obs
-    from ..runtime import get_default_store, get_default_trace_store
-    from ..serve import JobServer, default_socket_path
-
-    host = port = None
-    socket_path = args.socket
-    if args.tcp:
-        host, _, port_s = args.tcp.rpartition(":")
-        if not host or not port_s.isdigit():
-            raise ValueError(f"--tcp wants HOST:PORT, got {args.tcp!r}")
-        port, socket_path = int(port_s), None
-    elif socket_path is None:
-        socket_path = default_socket_path()
-    server = JobServer(
-        socket_path, host=host, port=port,
-        store=get_default_store(), trace_store=get_default_trace_store(),
-        obs=get_default_obs(),
-        backend="inline" if args.inline else "process",
-        workers=args.workers, max_queued=args.max_queued,
-        keep_jobs=args.keep_jobs)
-    print(f"serving on {server.address}"
-          f" ({server.backend} backend, {server.workers} workers,"
-          f" queue bound {server.max_queued})", file=sys.stderr)
-    try:
-        asyncio.run(server.serve())
-    except KeyboardInterrupt:
-        pass
-    stats = server.stats
-    return (f"server stopped: {stats['submitted']} job(s),"
-            f" {stats['simulated']} simulated, {stats['hits']} store"
-            f" hit(s), {stats['attached']} deduped attach(es),"
-            f" {stats['rejected']} rejected")
-
-
-def _cmd_submit(args) -> str:
-    from ..runtime import RunFailure, RunSpec
-    from ..serve import ServeClient, default_socket_path
-    spec = RunSpec(args.app, args.arch, args.pressure, args.scale,
-                   quantum=args.quantum)
-    with ServeClient(args.server or default_socket_path()) as client:
-        if args.detach:
-            job = client.submit([spec])
-            return (f"job {job['id']} queued"
-                    f" ({job['cells']} cell(s));"
-                    f" poll with: repro jobs")
-        job = client.submit([spec], stream=True,
-                            on_event=_print_cell_events)
-        outcome = client.outcomes(job["id"]).get(spec)
-    if outcome is None or isinstance(outcome, RunFailure):
-        raise ValueError(outcome.label() if outcome is not None
-                         else f"job {job['id']} returned no result")
-    return _run_summary(args.app, args.pressure, outcome)
-
-
-def _cmd_jobs(args) -> str:
-    from ..serve import ServeClient, default_socket_path
-    from .report import format_table
-    with ServeClient(args.server or default_socket_path()) as client:
-        info = client.ping()
-        jobs = client.jobs()
-    if not jobs:
-        return f"server at {client.socket_path}: no jobs"
-    rows = []
-    for job in jobs:
-        counts = job.get("counts", {})
-        rows.append([job["id"], job["state"],
-                     f"{job['completed']}/{job['cells']}",
-                     counts.get("hit", 0), counts.get("attach", 0),
-                     job["failed"],
-                     f"{job.get('wall_s', 0.0):.2f}s"
-                     if "wall_s" in job else "-"])
-    title = (f"{len(jobs)} job(s) on {client.socket_path}"
-             f" ({info['backend']} backend,"
-             f" {info['stats']['simulated']} cell(s) simulated)")
-    return format_table(["Job", "State", "Cells", "Hits", "Attached",
-                         "Failed", "Wall"], rows, title=title)
-
-
 _COMMANDS = {
     "table": _cmd_table,
     "figure": _cmd_figure,
@@ -850,9 +661,6 @@ _COMMANDS = {
     "analyze": _cmd_analyze,
     "store": _cmd_store,
     "obs": _cmd_obs,
-    "serve": _cmd_serve,
-    "submit": _cmd_submit,
-    "jobs": _cmd_jobs,
 }
 
 

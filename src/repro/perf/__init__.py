@@ -19,7 +19,7 @@ reference replay path by ``tests/test_perf_parity.py``.
 from .suite import (ALL_APPS, E2E_SCALE, MATRIX_CELLS, MICRO_SCALE,
                     bench_checker_overhead, bench_matrix_e2e,
                     bench_matrix_micro, bench_obs_overhead,
-                    bench_serve_warm, bench_single_cell,
+                    bench_single_cell,
                     bench_trace_generation, bench_trace_generation_cached,
                     bench_payload, load_bench_json, run_suite)
 from .timing import BenchResult, Timer, peak_rss_kib, run_bench
@@ -40,7 +40,6 @@ __all__ = [
     "bench_trace_generation_cached",
     "bench_checker_overhead",
     "bench_obs_overhead",
-    "bench_serve_warm",
     "run_suite",
     "bench_payload",
     "load_bench_json",

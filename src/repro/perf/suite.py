@@ -1,6 +1,6 @@
 """The curated microbenchmark suite behind ``python -m repro bench``.
 
-Nine benchmark families, chosen to bracket the simulator's cost
+Eight benchmark families, chosen to bracket the simulator's cost
 structure (docs/performance.md):
 
 * ``single:<app>/<arch>`` -- one evaluation cell per architecture, so a
@@ -21,10 +21,6 @@ structure (docs/performance.md):
   telemetry (spans + kind-filtered backoff time series + JSONL sink)
   versus plain, pinning the observability overhead factor that the
   regression gate holds at <=2%;
-* ``serve_warm`` -- one submit->result round-trip against a warm
-  :class:`~repro.serve.JobServer` for a cached cell, versus a cold
-  ``repro run`` process invocation of the same cell; the regression
-  gate holds the factor at >=5x;
 * ``sampling:<app>/<arch>`` -- sample-then-replay of one committed
   error-analysis cell versus full replay, recording the kept fraction,
   the trace-heap ratio and the wall-time speedup sampled sweeps bank.
@@ -56,7 +52,7 @@ __all__ = ["MICRO_SCALE", "E2E_SCALE", "ALL_APPS", "MATRIX_APPS",
            "bench_matrix_e2e",
            "bench_trace_generation", "bench_trace_generation_cached",
            "bench_checker_overhead", "bench_obs_overhead",
-           "bench_serve_warm", "bench_sampling", "run_suite",
+           "bench_sampling", "run_suite",
            "bench_payload", "load_bench_json"]
 
 #: Workload scale all replay microbenchmarks run at: large enough that
@@ -292,72 +288,6 @@ def bench_obs_overhead(repeats: int = 3) -> BenchResult:
     return result
 
 
-def bench_serve_warm(rounds: int = 20, repeats: int = 3) -> BenchResult:
-    """Warm-server round-trip for a cached cell vs a cold CLI run.
-
-    The number the serve layer exists for: with a resident
-    :class:`~repro.serve.JobServer` (inline backend, primed result
-    store), one submit→result round-trip over the Unix socket is
-    measured against ``python -m repro run`` of the *same cached cell*
-    in a fresh process — interpreter startup, imports and store read
-    included, simulation excluded from both sides.  ``meta`` records
-    the per-round-trip latency (``roundtrip_s``), the cold invocation
-    wall time (``cold_cli_s``) and the factor (``speedup_x``), which
-    the regression gate holds at >=5x.
-    """
-    import subprocess
-    import sys
-
-    from ..runtime import RunSpec, RunStore, execute
-    from ..serve import JobServer, ServeClient, ServerThread
-
-    spec = RunSpec("fft", "ASCOMA", MATRIX_PRESSURE, 0.05)
-    wl_events = _workload_events(get_workload(spec.app, spec.scale))
-    with tempfile.TemporaryDirectory() as tmp:
-        store = RunStore(os.path.join(tmp, "store"))
-        execute([spec], store=store, parallel=False)  # prime the cache
-
-        src_root = os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))))
-        env = dict(os.environ, PYTHONPATH=src_root)
-        for var in ("REPRO_STORE_DIR", "REPRO_TRACE_DIR", "REPRO_OBS_DIR",
-                    "REPRO_SERVE_SOCKET"):
-            env.pop(var, None)
-        cmd = [sys.executable, "-m", "repro", "--scale", str(spec.scale),
-               "--store-dir", str(store.root), "run", spec.app, spec.arch,
-               "--pressure", str(spec.pressure)]
-
-        def cold_once() -> None:
-            proc = subprocess.run(cmd, env=env, cwd=tmp,
-                                  capture_output=True, text=True)
-            if proc.returncode != 0:
-                raise RuntimeError(f"cold CLI run failed:\n{proc.stderr}")
-
-        cold = run_bench("_cold_cli", cold_once, wl_events, min(repeats, 2))
-
-        sock = os.path.join(tmp, "s.sock")
-        server = JobServer(sock, store=store, backend="inline", workers=2)
-        with ServerThread(server):
-            with ServeClient(sock) as client:
-                client.submit(spec, wait=True)  # prime connection + memo
-
-                def warm_once() -> None:
-                    for _ in range(rounds):
-                        job = client.submit(spec, wait=True)
-                        client.result(job["id"])
-
-                result = run_bench("serve_warm", warm_once,
-                                   wl_events * rounds, repeats,
-                                   meta={"spec": spec.label(),
-                                         "rounds": rounds,
-                                         "backend": "inline"})
-    per_rt = result.wall_s / rounds
-    result.meta["roundtrip_s"] = round(per_rt, 6)
-    result.meta["cold_cli_s"] = round(cold.wall_s, 6)
-    result.meta["speedup_x"] = round(cold.wall_s / per_rt, 3)
-    return result
-
-
 def bench_sampling(app: str = "em3d", arch: str = "SCOMA",
                    pressure: float = 0.9, scale: float = MICRO_SCALE,
                    rate: int = 7, repeats: int = 3) -> BenchResult:
@@ -406,31 +336,24 @@ def run_suite(repeats: int = 3, only: str | None = None) -> list[BenchResult]:
     suite's runtime.
     """
     benches = [
-        *(lambda a=arch: bench_single_cell(a, repeats=repeats)
+        *((f"single:fft/{arch}",
+           lambda a=arch: bench_single_cell(a, repeats=repeats))
           for arch in ARCHITECTURES),
-        lambda: bench_matrix_micro(repeats=repeats),
-        lambda: bench_matrix_e2e(repeats=min(repeats, 2)),
-        *(lambda a=app: bench_trace_generation(a, repeats=repeats)
+        ("matrix_micro", lambda: bench_matrix_micro(repeats=repeats)),
+        ("matrix_e2e", lambda: bench_matrix_e2e(repeats=min(repeats, 2))),
+        *((f"tracegen:{app}",
+           lambda a=app: bench_trace_generation(a, repeats=repeats))
           for app in ALL_APPS),
-        *(lambda a=app: bench_trace_generation_cached(a, repeats=repeats)
+        *((f"tracegen_cached:{app}",
+           lambda a=app: bench_trace_generation_cached(a, repeats=repeats))
           for app in ALL_APPS),
-        lambda: bench_checker_overhead(repeats=repeats),
-        lambda: bench_obs_overhead(repeats=repeats),
-        lambda: bench_serve_warm(repeats=repeats),
-        lambda: bench_sampling(repeats=repeats),
+        ("checker:fft/ASCOMA",
+         lambda: bench_checker_overhead(repeats=repeats)),
+        ("obs_overhead", lambda: bench_obs_overhead(repeats=repeats)),
+        ("sampling:em3d/SCOMA", lambda: bench_sampling(repeats=repeats)),
     ]
-    names = [f"single:fft/{arch}" for arch in ARCHITECTURES]
-    names += ["matrix_micro", "matrix_e2e"]
-    names += [f"tracegen:{app}" for app in ALL_APPS]
-    names += [f"tracegen_cached:{app}" for app in ALL_APPS]
-    names += ["checker:fft/ASCOMA", "obs_overhead", "serve_warm"]
-    names += ["sampling:em3d/SCOMA"]
-    results = []
-    for name, bench in zip(names, benches):
-        if only and only not in name:
-            continue
-        results.append(bench())
-    return results
+    return [bench() for name, bench in benches
+            if not only or only in name]
 
 
 # ----------------------------------------------------------------------

@@ -232,8 +232,9 @@ class RunSpec:
             return engine.run()
         finally:
             # Always unsubscribe: the bus (and its observer lists) lives
-            # as long as the engine, and long-lived callers — the serve
-            # layer keeps warm state across thousands of jobs — must not
+            # as long as the engine, and long-lived callers — warm pool
+            # workers run many cells per process, and a library caller
+            # may reuse one telemetry object across runs — must not
             # accumulate per-run observers on anything they retain.
             if telemetry is not None:
                 telemetry.detach(engine)

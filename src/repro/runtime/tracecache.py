@@ -381,9 +381,9 @@ class TraceStore:
         """Summary of every readable artifact, sorted by file name.
 
         Robust against concurrent mutation: a ``trace-clear`` racing
-        this scan (e.g. against a live job server) makes files vanish
-        between ``glob`` and ``stat`` — such entries are skipped, never
-        an error.
+        this scan (e.g. from another process sharing the store) makes
+        files vanish between ``glob`` and ``stat`` — such entries are
+        skipped, never an error.
         """
         out = []
         for path in sorted(self.root.glob("*.trace")):

@@ -133,6 +133,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "1/1 claims reproduced" in out
 
+    def test_claims_command_fails_on_failing_claim(self, capsys,
+                                                   monkeypatch):
+        import repro.harness.claims as claims_mod
+        canned = [Claim("stub claim", "Section 5", "x", "x", True),
+                  Claim("broken claim", "Section 5", "x", "y", False)]
+        monkeypatch.setattr(claims_mod, "validate_all",
+                            lambda scale: canned)
+        assert main(["claims"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "1/2 claims reproduced" in out
+
 
 class TestBenchCommand:
     def test_bench_writes_json(self, capsys, tmp_path):

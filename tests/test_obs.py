@@ -267,10 +267,10 @@ class TestAcceptance:
     def test_execute_always_detaches_engine_observers(self, monkeypatch):
         """RunSpec.execute unsubscribes telemetry *and* checker itself.
 
-        Long-lived callers (the serve layer runs thousands of cells on
-        one retained telemetry object) must not rely on the engine
-        being garbage: the run must leave the bus it subscribed to
-        clean, success or not.
+        Long-lived callers (a warm pool worker, or a library caller
+        reusing one telemetry object across runs) must not rely on the
+        engine being garbage: the run must leave the bus it subscribed
+        to clean, success or not.
         """
         from repro.sim.engine import Engine
         captured = {}
